@@ -49,7 +49,7 @@
 //!
 //! An ultra-hot key serialized on one cacheline would make the cache the
 //! bottleneck it is meant to remove. The cache therefore keeps one slab per
-//! server worker thread (connection readers pin to a replica round-robin):
+//! server worker thread (I/O threads pin to a replica round-robin):
 //! probes and fills touch only the calling thread's slab, while the
 //! committer walks all slabs at round publication — writes pay the
 //! fan-out, reads stay core-local.

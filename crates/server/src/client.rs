@@ -14,14 +14,13 @@ use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, BatchOp, BatchReply, Request,
     Response, HELLO_ADMIN,
 };
-use crate::transport::{Closer, Connection};
+use crate::transport::{Connection, Socket};
 use cachekv_lsm::KvStore;
 use cachekv_obs::Json;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -59,11 +58,13 @@ impl std::error::Error for ClientError {}
 pub type ScanPage = (Vec<(Vec<u8>, Vec<u8>)>, bool);
 
 struct ClientInner {
-    tx: Mutex<Box<dyn Write + Send>>,
+    /// Read by the demux thread, written by submitters (one frame at a
+    /// time, under `write_gate`), shut down by `sever`/`close`.
+    socket: Socket,
+    write_gate: Mutex<()>,
     pending: Mutex<HashMap<u64, Sender<Response>>>,
     next_id: AtomicU64,
     closed: AtomicBool,
-    closer: Closer,
 }
 
 /// A response not yet waited on — the handle that makes pipelining
@@ -89,19 +90,18 @@ impl KvClient {
     /// Take ownership of `conn` and start the response demux thread.
     pub fn connect(conn: Connection) -> KvClient {
         let inner = Arc::new(ClientInner {
-            tx: Mutex::new(conn.tx),
+            socket: conn.socket,
+            write_gate: Mutex::new(()),
             pending: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             closed: AtomicBool::new(false),
-            closer: conn.closer,
         });
         let demux = {
             let inner = inner.clone();
-            let mut rx = conn.rx;
             std::thread::Builder::new()
                 .name("cachekv-client-demux".into())
                 .spawn(move || {
-                    while let Ok(Some(payload)) = read_frame(&mut rx) {
+                    while let Ok(Some(payload)) = read_frame(&mut &inner.socket) {
                         let Ok((id, resp)) = decode_response(&payload) else {
                             break;
                         };
@@ -132,9 +132,9 @@ impl KvClient {
         let (otx, orx) = unbounded();
         self.inner.pending.lock().insert(id, otx);
         let payload = encode_request(id, req);
-        let mut tx = self.inner.tx.lock();
-        let sent = write_frame(&mut *tx, &payload).and_then(|()| tx.flush());
-        drop(tx);
+        let gate = self.inner.write_gate.lock();
+        let sent = write_frame(&mut &self.inner.socket, &payload);
+        drop(gate);
         if sent.is_err() {
             self.inner.pending.lock().remove(&id);
             return Err(ClientError::Disconnected);
@@ -263,7 +263,7 @@ impl KvClient {
     /// to unblock a thread wedged in [`Pending::wait`] on a dead peer
     /// (the replication shipper during shutdown).
     pub fn sever(&self) {
-        (self.inner.closer)();
+        let _ = self.inner.socket.shutdown();
     }
 
     /// Tear the connection down and join the demux thread.
@@ -272,7 +272,7 @@ impl KvClient {
     }
 
     fn teardown(&mut self) {
-        (self.inner.closer)();
+        let _ = self.inner.socket.shutdown();
         if let Some(h) = self.demux.take() {
             let _ = h.join();
         }

@@ -1,42 +1,50 @@
-//! Readiness-polling connection multiplexer: the event-driven transport
-//! path.
+//! The serving path: readiness-polling I/O threads that own every
+//! connection the server accepts, TCP and loopback alike.
 //!
-//! N I/O threads (config: [`crate::ServerConfig::io_threads`]) each own a
-//! [`polling::Poller`] over nonblocking `TcpStream`s. One thread carries
-//! hundreds-to-thousands of connections instead of the two threads per
-//! connection the blocking path spawns — the C10K shape. Per connection the
-//! thread keeps a read-accumulation buffer with a frame-decode state
-//! machine (replacing the reader thread) and an outbound frame queue
-//! flushed on writability (replacing the writer thread).
+//! ```text
+//!   clients ── transport (loopback / TCP) ── accept loop
+//!                                              │ round-robin
+//!                            I/O thread 0..N (poller over nonblocking sockets)
+//!                              │ read buffer → frame decode → dispatch
+//!        GET / SCAN / STATS / PING: inline     PUT / DELETE / BATCH: shard queues
+//!                              │                          │ group-commit rounds
+//!                              ▼                          ▼
+//!                   per-connection outbound queue ◄── acks (any order, any thread)
+//!                              │ flushed on enqueue, then on writability
+//!                              ▼ socket
+//! ```
 //!
-//! Invariants that keep one slow peer from taking the loop down:
+//! N I/O threads ([`crate::ServerConfig::io_threads`], at least one) each
+//! own a [`polling::Poller`] over nonblocking [`Socket`]s, so one thread
+//! carries hundreds-to-thousands of connections. Per connection the thread
+//! keeps a read-accumulation buffer with a frame-decode state machine and an
+//! outbound frame queue.
 //!
-//! * **The I/O thread never parks.** Dispatch on this path uses the
-//!   unbounded shard enqueue; what bounds work instead is the server-wide
-//!   admission budget, which sheds over-watermark requests with `Busy`
-//!   before they reach a queue.
+//! Backpressure, stated once for the whole server:
+//!
+//! * **The I/O thread never parks on a queue.** Shard queues have no cap;
+//!   what bounds work is the server-wide admission budget, which sheds
+//!   over-watermark requests with `Busy` before they reach a queue.
 //! * **A slow reader is paused, not shed.** When a connection's outbound
 //!   queue crosses its high watermark the loop drops read interest for
 //!   just that connection (frames already admitted still ack); reads
-//!   resume once the queue drains below the low watermark.
+//!   resume once the queue drains below the low watermark. Its unread
+//!   requests then back up in the kernel socket buffer, which is what the
+//!   client ultimately blocks on.
 //! * **Acks always enqueue.** Committer threads append response frames to
 //!   the connection's queue through [`EventConn`] without blocking and
-//!   wake the owning loop; a closed connection drops them silently, same
-//!   as the writer-thread path.
-//!
-//! Loopback connections never reach this module — they carry no socket —
-//! so every deterministic test and crash sweep runs the blocking path
-//! unchanged.
+//!   wake the owning loop; a closed connection drops them silently (the
+//!   client is gone; the commit still happened).
 
 use crate::protocol::{decode_request, write_frame, Response, MAX_FRAME};
 use crate::server::{dispatch, release_repl_link, ConnCtx, ReplySender, ServerShared};
+use crate::transport::Socket;
 use cachekv_obs::Gauge;
 use cachekv_storage::crc::crc32c;
 use parking_lot::Mutex;
 use polling::{Interest, Poller, Waker};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -50,22 +58,17 @@ const READ_BUDGET: usize = 1 << 20;
 /// Scratch read size per `read(2)` call.
 const READ_CHUNK: usize = 64 << 10;
 
-/// One accepted socket awaiting registration on its I/O thread.
-struct NewConn {
-    stream: TcpStream,
-}
-
 /// Cross-thread face of one I/O thread: the waker plus the injection
 /// queues (new connections, connections with fresh output).
 struct IoShared {
     waker: Waker,
-    inbox: Mutex<Vec<NewConn>>,
+    inbox: Mutex<Vec<Socket>>,
     dirty: Mutex<Vec<u64>>,
     stop: AtomicBool,
 }
 
-/// The event-loop fleet: spawned lazily by the accept loop on the first
-/// socket connection, shut down (joined) during server teardown.
+/// The event-loop fleet: spawned when the server is built, shut down
+/// (joined) during server teardown.
 pub(crate) struct EventLoops {
     io: Vec<Arc<IoShared>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -73,8 +76,8 @@ pub(crate) struct EventLoops {
 }
 
 impl EventLoops {
-    pub(crate) fn spawn(shared: Arc<ServerShared>, n: usize) -> EventLoops {
-        let n = n.max(1);
+    pub(crate) fn spawn(shared: &Arc<ServerShared>) -> EventLoops {
+        let n = shared.cfg.io_threads;
         let mut io = Vec::with_capacity(n);
         let mut threads = Vec::with_capacity(n);
         for i in 0..n {
@@ -104,15 +107,14 @@ impl EventLoops {
     }
 
     /// Hand an accepted socket to one of the loops (round-robin).
-    pub(crate) fn register(&self, stream: TcpStream, _peer: String) {
+    pub(crate) fn register(&self, socket: Socket) {
         let i = self.next.fetch_add(1, Ordering::Relaxed) % self.io.len();
-        self.io[i].inbox.lock().push(NewConn { stream });
+        self.io[i].inbox.lock().push(socket);
         self.io[i].waker.wake();
     }
 
-    /// Stop and join every I/O thread. Their connections' sockets were
-    /// already shut down by the server's closers; each loop closes out
-    /// its remaining state on the way down.
+    /// Stop and join every I/O thread. Each loop shuts down every socket
+    /// it owns on the way out, so peers see EOF.
     pub(crate) fn shutdown(&self) {
         for ios in &self.io {
             ios.stop.store(true, Ordering::Release);
@@ -150,8 +152,7 @@ pub(crate) struct EventConn {
 impl EventConn {
     /// Frame `payload` and queue it for the socket, waking the I/O thread
     /// if it isn't already aware of pending output. Never blocks; drops
-    /// silently after close (peer is gone — same as the writer-thread
-    /// path's disconnected channel).
+    /// silently after close (the peer is gone).
     pub(crate) fn enqueue_frame(&self, payload: &[u8]) {
         let mut frame = Vec::with_capacity(payload.len() + 8);
         write_frame(&mut frame, payload).expect("response frame within MAX_FRAME");
@@ -180,7 +181,7 @@ impl EventConn {
 
 /// Everything the I/O thread tracks per connection.
 struct ConnState {
-    stream: TcpStream,
+    socket: Socket,
     conn: Arc<EventConn>,
     reply: ReplySender,
     ctx: ConnCtx,
@@ -224,13 +225,12 @@ fn io_loop(mut poller: Poller, ios: &Arc<IoShared>, shared: &Arc<ServerShared>) 
         // New connections first: their registration must precede any
         // dirty notification that may already name them.
         let fresh = std::mem::take(&mut *ios.inbox.lock());
-        for nc in fresh {
+        for socket in fresh {
             let token = next_token;
             next_token += 1;
-            if let Some(cs) = register_conn(&mut poller, shared, ios, nc.stream, token) {
+            if let Some(cs) = register_conn(&mut poller, shared, ios, socket, token) {
                 conns.insert(token, cs);
             } else {
-                shared.obs.connections.dec();
                 shared.obs.conns.dec();
             }
         }
@@ -279,12 +279,12 @@ fn register_conn(
     poller: &mut Poller,
     shared: &Arc<ServerShared>,
     ios: &Arc<IoShared>,
-    stream: TcpStream,
+    socket: Socket,
     token: u64,
 ) -> Option<ConnState> {
-    stream.set_nonblocking(true).ok()?;
+    socket.set_nonblocking(true).ok()?;
     poller
-        .register(stream.as_raw_fd(), token, Interest::READ)
+        .register(socket.as_raw_fd(), token, Interest::READ)
         .ok()?;
     let conn = Arc::new(EventConn {
         token,
@@ -298,10 +298,10 @@ fn register_conn(
         }),
         inflight_bytes: shared.obs.inflight_bytes.clone(),
     });
-    let reply = ReplySender::event(conn.clone(), shared.obs.clone());
-    let ctx = ConnCtx::new(shared, true);
+    let reply = ReplySender::new(conn.clone(), shared.obs.clone());
+    let ctx = ConnCtx::new(shared);
     Some(ConnState {
-        stream,
+        socket,
         conn,
         reply,
         ctx,
@@ -318,7 +318,7 @@ fn flush_conn(cs: &mut ConnState, shared: &Arc<ServerShared>, low: usize) -> Con
     while let Some(front) = out.queue.front() {
         let front_len = front.len();
         let off = out.head_off;
-        match cs.stream.write(&front[off..]) {
+        match (&cs.socket).write(&front[off..]) {
             Ok(0) => return ConnFate::Close,
             Ok(n) => {
                 out.head_off += n;
@@ -353,7 +353,7 @@ fn read_conn(
 ) -> ConnFate {
     let mut budget = READ_BUDGET;
     loop {
-        match cs.stream.read(scratch) {
+        match (&cs.socket).read(scratch) {
             Ok(0) => return ConnFate::Close, // EOF
             Ok(n) => {
                 cs.rbuf.extend_from_slice(&scratch[..n]);
@@ -381,10 +381,10 @@ fn read_conn(
 }
 
 /// Extract complete frames from the accumulation buffer and dispatch
-/// them. Mirrors `read_frame` + `serve_connection` semantics exactly:
-/// frame-level corruption (oversize length, CRC mismatch) closes the
-/// connection; a payload that frames correctly but decodes badly gets an
-/// error reply and the connection lives on.
+/// them, with `read_frame`'s semantics: frame-level corruption (oversize
+/// length, CRC mismatch) closes the connection; a payload that frames
+/// correctly but decodes badly gets an error reply and the connection lives
+/// on.
 fn parse_frames(cs: &mut ConnState, shared: &Arc<ServerShared>) -> ConnFate {
     let mut pos = 0usize;
     let fate = loop {
@@ -462,7 +462,6 @@ fn close_conn(
         }
     }
     release_repl_link(shared, cs.ctx.conn_id);
-    shared.obs.connections.dec();
     shared.obs.conns.dec();
-    let _ = cs.stream.shutdown(std::net::Shutdown::Both);
+    let _ = cs.socket.shutdown();
 }

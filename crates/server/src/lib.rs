@@ -7,16 +7,17 @@
 //!
 //! * [`protocol`] — length-prefixed, CRC-framed binary frames
 //!   (GET/PUT/DELETE/BATCH/STATS/PING), pipelined via client-chosen ids.
-//! * [`transport`] — how bytes move: an in-process loopback with bounded
-//!   duplex pipes (deterministic tests/benches, real backpressure) or a
-//!   `std::net` TCP listener with a thread per connection. The server is
-//!   written against the [`Transport`] trait only.
+//! * [`transport`] — where connections come from: an in-process loopback
+//!   that hands out socket pairs (tests/benches, no ports) or a `std::net`
+//!   TCP listener. The server is written against the [`Transport`] trait
+//!   only, and serves every connection from its event-loop I/O threads.
 //! * [`shard`]/[`server`] — keys hash-route across N engine shards; each
-//!   shard fronts its store with a bounded submission queue drained in
+//!   shard fronts its store with a submission queue drained in
 //!   group-commit rounds. Writes are acked only after their whole round is
 //!   applied (under eADR, applied ⇒ persisted — see `tests/server_crash.rs`
-//!   for the crash-sweep proof). Full queues block the connection reader,
-//!   backpressuring the transport and ultimately the client.
+//!   for the crash-sweep proof). A server-wide admission budget sheds
+//!   over-watermark load with `Busy`; a connection that does not read its
+//!   replies has its reads paused.
 //! * [`client`] — pipelined [`KvClient`] plus [`RemoteStore`], a
 //!   [`cachekv_lsm::KvStore`] adapter so YCSB/db_bench drivers run against
 //!   the wire unchanged.
@@ -42,4 +43,4 @@ pub use protocol::{
 pub use repl::{ReplMode, Replicator};
 pub use server::{shard_for_key, KvServer, ReplySender, ServerConfig, StoreFactory, MAX_SCAN_PAGE};
 pub use shard::{CaptureHandle, Shard};
-pub use transport::{Connection, LoopbackTransport, TcpTransport, Transport};
+pub use transport::{Connection, LoopbackTransport, Socket, TcpTransport, Transport};

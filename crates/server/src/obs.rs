@@ -2,7 +2,7 @@
 //! group-commit batch sizes, queue depths, connection counts.
 //!
 //! One [`ServerObs`] per [`crate::KvServer`], shared by the accept loop,
-//! every connection's reader/writer threads, and the shard committers.
+//! the event-loop I/O threads, and the shard committers.
 //! All hot-path handles are pre-fetched `Arc`s (recording is purely
 //! atomic); the registry lock is only taken at construction and snapshot.
 
@@ -45,8 +45,6 @@ pub struct ServerObs {
     pub queue_depth_hist: Arc<Histogram>,
     /// Current total queued submissions across shards.
     pub queue_depth: Arc<Gauge>,
-    /// Submissions that blocked on a full shard queue (backpressure).
-    pub backpressure_waits: Arc<Counter>,
 
     // Hot-key cache tier (see `crate::cache`).
     /// GETs served from a replica slab (no queue, no engine probe).
@@ -92,10 +90,7 @@ pub struct ServerObs {
     pub repl_lag_bytes: Arc<Gauge>,
 
     // Connections.
-    pub connections: Arc<Gauge>,
-    pub connections_total: Arc<Counter>,
-    /// Open connections (alias of `connections` under the event-transport
-    /// naming; both stay updated).
+    /// Open connections.
     pub conns: Arc<Gauge>,
     /// Connections accepted over the server's lifetime.
     pub accepts: Arc<Counter>,
@@ -103,7 +98,7 @@ pub struct ServerObs {
     // Admission control (see `crate::server`'s admission budget).
     /// Requests refused with `Busy` because an admission watermark was
     /// crossed. Zero in nominal operation; > 0 proves shedding under
-    /// overload (the c10k bench asserts both sides).
+    /// overload.
     pub sheds: Arc<Counter>,
     /// Response bytes queued on event-loop connections but not yet
     /// written to their sockets.
@@ -143,7 +138,6 @@ impl ServerObs {
             batch_size: registry.histogram("server.group_commit.batch_size"),
             queue_depth_hist: registry.histogram("server.group_commit.queue_depth"),
             queue_depth: registry.gauge("server.queue_depth"),
-            backpressure_waits: registry.counter("server.backpressure_waits"),
             cache_hits: registry.counter("server.cache.hits"),
             cache_misses: registry.counter("server.cache.misses"),
             cache_fills: registry.counter("server.cache.fills"),
@@ -162,8 +156,6 @@ impl ServerObs {
             repl_link_failures: registry.counter("server.repl.link_failures"),
             repl_lag_rounds: registry.gauge("server.repl.lag_rounds"),
             repl_lag_bytes: registry.gauge("server.repl.lag_bytes"),
-            connections: registry.gauge("server.connections"),
-            connections_total: registry.counter("server.connections_total"),
             conns: registry.gauge("server.conns"),
             accepts: registry.counter("server.accepts"),
             sheds: registry.counter("server.sheds"),

@@ -1,21 +1,15 @@
-//! The sharded, pipelined service front-end.
+//! The sharded, pipelined service front-end: configuration, the admission
+//! budget, request dispatch, the follower-role state machine and the STATS
+//! document.
 //!
-//! ```text
-//!   clients ── transport (loopback / TCP) ── accept loop
-//!                                              │ thread per connection
-//!                       ┌── reader thread ─────┤  (pipelined: reads req
-//!                       │                      │   K+1 while K commits)
-//!     GET / STATS / PING│ inline               │ PUT / DELETE / BATCH
-//!                       ▼                      ▼ hash-route per key
-//!                  shard.store().get()   bounded submission queues
-//!                                              │ group-commit rounds
-//!                                        shard committer threads
-//!                       └───────► writer thread ◄── acks (any order)
-//! ```
-//!
-//! Writes are acked only after their group-commit round is fully applied;
-//! a full submission queue blocks the reader thread, which backpressures
-//! the transport. Shutdown stops accepting, force-closes connections, then
+//! [`KvServer`] owns an accept thread, the event-loop I/O threads (see
+//! `event_loop` for the connection diagram and the backpressure model) and
+//! one committer thread per shard. Every accepted connection — TCP or
+//! loopback — is handed to an I/O thread, which decodes frames and calls
+//! [`dispatch`]: reads are served inline, writes are admitted against the
+//! server-wide budget (or shed with `Busy`), hash-routed to a shard queue and
+//! acked only after their group-commit round is fully applied. Shutdown
+//! stops accepting, stops the I/O threads (closing every connection), then
 //! drains every shard queue before returning.
 
 use crate::cache::{HotCache, HotCacheConfig};
@@ -23,29 +17,23 @@ use crate::client::KvClient;
 use crate::event_loop::{EventConn, EventLoops};
 use crate::obs::ServerObs;
 use crate::protocol::{
-    decode_request, encode_response, read_frame, write_frame, BatchOp, ReplWrite, Request,
-    Response, HELLO_ADMIN, HELLO_REPL, MAX_KV_BYTES,
+    encode_response, BatchOp, ReplWrite, Request, Response, HELLO_ADMIN, HELLO_REPL, MAX_KV_BYTES,
 };
 use crate::repl::{ReplMode, Replicator};
 use crate::shard::{Ack, BatchAcc, Shard, SubOp, Submission};
-use crate::transport::{Closer, Connection, Transport};
+use crate::transport::{Connection, Transport};
 use cachekv_lsm::KvStore;
 use cachekv_obs::{Counter, Gauge, Json, StatsSnapshot};
 use cachekv_storage::crc::crc32c;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Front-end tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Submissions a shard queue holds before `submit` blocks
-    /// (backpressure bound).
-    pub shard_queue_cap: usize,
     /// Max submissions folded into one group-commit round.
     pub group_commit_max: usize,
     /// Connections beyond this are refused (closed on accept).
@@ -58,20 +46,16 @@ pub struct ServerConfig {
     /// the backlog dropped (degraded local-only acks) instead of growing
     /// without bound.
     pub repl_max_backlog_bytes: u64,
-    /// Event-loop I/O threads multiplexing socket connections (each owns a
-    /// poller over nonblocking streams). `0` disables the event loop:
-    /// every connection gets the blocking reader/writer thread pair.
-    /// Loopback connections always take the blocking path regardless —
-    /// that is what keeps the test/crash-sweep transport deterministic.
+    /// Event-loop I/O threads multiplexing the connections (each owns a
+    /// poller over nonblocking sockets). At least one always runs: `0` is
+    /// served as `1`.
     pub io_threads: usize,
     /// Server-wide cap on write submissions in flight (admitted but not
     /// yet acked). Requests past it get a fast retryable `Busy` instead of
-    /// queueing — on the event path this replaces the per-queue block as
-    /// backpressure; on the blocking path it bounds total queueing the
-    /// same way.
+    /// queueing — this, not a per-queue cap, is what bounds the shard
+    /// queues.
     pub admit_max_requests: u64,
-    /// Server-wide cap on response bytes buffered on event-loop
-    /// connections. Past it, new work is shed with `Busy` (acks for
+    /// Server-wide cap on response bytes buffered toward sockets. Past it, new work is shed with `Busy` (acks for
     /// already-admitted writes still enqueue — an accepted round always
     /// acks).
     pub admit_max_bytes: u64,
@@ -80,7 +64,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            shard_queue_cap: 256,
             group_commit_max: 32,
             max_connections: 1024,
             cache: HotCacheConfig::default(),
@@ -178,54 +161,33 @@ pub(crate) struct FollowerCtl {
     repl_conn: AtomicU64,
 }
 
-enum WriterMsg {
-    Frame(Vec<u8>),
-    Close,
-}
-
 /// Cloneable handle that routes an encoded response back to its
-/// connection — the writer thread on the blocking path, the connection's
-/// event-loop output buffer on the event path. Sends to a torn-down
-/// connection are silently dropped (the client is gone; the commit still
-/// happened).
+/// connection's outbound queue. Sends to a torn-down connection are
+/// silently dropped (the client is gone; the commit still happened).
 #[derive(Clone)]
 pub struct ReplySender {
-    route: ReplyRoute,
+    conn: Arc<EventConn>,
     obs: Arc<ServerObs>,
 }
 
-#[derive(Clone)]
-enum ReplyRoute {
-    Thread(Sender<WriterMsg>),
-    Event(Arc<EventConn>),
-}
-
 impl ReplySender {
-    pub(crate) fn event(conn: Arc<EventConn>, obs: Arc<ServerObs>) -> ReplySender {
-        ReplySender {
-            route: ReplyRoute::Event(conn),
-            obs,
-        }
+    pub(crate) fn new(conn: Arc<EventConn>, obs: Arc<ServerObs>) -> ReplySender {
+        ReplySender { conn, obs }
     }
 
     /// Encode and enqueue `(id, resp)` toward the connection's socket.
     pub fn send(&self, id: u64, resp: &Response) {
         let payload = encode_response(id, resp);
         self.obs.bytes_out.add(payload.len() as u64 + 8);
-        match &self.route {
-            ReplyRoute::Thread(tx) => {
-                let _ = tx.send(WriterMsg::Frame(payload));
-            }
-            ReplyRoute::Event(conn) => conn.enqueue_frame(&payload),
-        }
+        self.conn.enqueue_frame(&payload);
     }
 }
 
 /// Server-wide admission budget: a cap on write submissions in flight and
 /// on response bytes buffered toward sockets. Acquisition is a pair of
 /// atomics (no lock); over-budget requests are shed with a fast `Busy`
-/// rather than parking whichever thread carried them — on the event path
-/// that thread serves many other connections.
+/// rather than parking the I/O thread that carried them — it serves many
+/// other connections.
 pub(crate) struct AdmitBudget {
     reqs: AtomicU64,
     max_reqs: u64,
@@ -298,8 +260,6 @@ pub(crate) struct ServerShared {
     pub(crate) transport: Arc<dyn Transport>,
     pub(crate) cfg: ServerConfig,
     pub(crate) stopping: AtomicBool,
-    pub(crate) conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    pub(crate) conn_closers: Mutex<Vec<Closer>>,
     /// Primary-role round shipping (None on plain and follower servers).
     pub(crate) repl: Option<Arc<Replicator>>,
     /// Follower-role apply state (None on plain and primary servers).
@@ -313,11 +273,8 @@ pub(crate) struct ServerShared {
     /// Connection-id allocator (ids start at 1 — 0 and u64::MAX are the
     /// [`REPL_CONN_NONE`] / [`REPL_CONN_FENCED`] sentinels).
     pub(crate) next_conn_id: AtomicU64,
-    /// Server-wide admission budget (shared by both connection paths).
+    /// Server-wide admission budget.
     pub(crate) admit: Arc<AdmitBudget>,
-    /// Event-loop I/O threads, spawned lazily on the first socket
-    /// connection (loopback-only servers never start them).
-    pub(crate) event: OnceLock<EventLoops>,
 }
 
 /// Per-connection dispatch state: identity for the replication-link
@@ -326,27 +283,23 @@ pub(crate) struct ConnCtx {
     pub(crate) conn_id: u64,
     /// Set by `HELLO admin`: this connection may PROMOTE.
     pub(crate) admin: bool,
-    /// True on the event path: dispatch must never block this thread on a
-    /// full shard queue (it serves many connections), so submissions use
-    /// the unbounded enqueue bounded by the admission budget instead.
-    pub(crate) nonblocking: bool,
 }
 
 impl ConnCtx {
-    pub(crate) fn new(shared: &ServerShared, nonblocking: bool) -> ConnCtx {
+    pub(crate) fn new(shared: &ServerShared) -> ConnCtx {
         ConnCtx {
             conn_id: shared.next_conn_id.fetch_add(1, Ordering::Relaxed),
             admin: false,
-            nonblocking,
         }
     }
 }
 
-/// A running KV service: accept loop + per-connection threads + shard
+/// A running KV service: accept loop + event-loop I/O threads + shard
 /// committers. Stops cleanly via [`KvServer::shutdown`] (drains in-flight
 /// batches) — dropping without shutdown also joins everything.
 pub struct KvServer {
     shared: Arc<ServerShared>,
+    event: Arc<EventLoops>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -433,12 +386,13 @@ impl KvServer {
     fn build(
         stores: Vec<Arc<dyn KvStore>>,
         transport: Arc<dyn Transport>,
-        cfg: ServerConfig,
+        mut cfg: ServerConfig,
         obs: Arc<ServerObs>,
         repl: Option<Arc<Replicator>>,
         follower: Option<FollowerCtl>,
     ) -> KvServer {
         assert!(!stores.is_empty(), "server needs at least one shard");
+        cfg.io_threads = cfg.io_threads.max(1);
         let cache = HotCache::new(&cfg.cache, stores.len(), obs.clone());
         let shards = stores
             .into_iter()
@@ -447,7 +401,6 @@ impl KvServer {
                 Shard::spawn(
                     i,
                     store,
-                    cfg.shard_queue_cap,
                     cfg.group_commit_max,
                     obs.clone(),
                     cache.clone(),
@@ -463,25 +416,25 @@ impl KvServer {
             transport,
             cfg,
             stopping: AtomicBool::new(false),
-            conn_threads: Mutex::new(Vec::new()),
-            conn_closers: Mutex::new(Vec::new()),
             repl,
             follower,
             is_follower: AtomicBool::new(false),
             epoch: AtomicU64::new(0),
             next_conn_id: AtomicU64::new(1),
             admit,
-            event: OnceLock::new(),
         });
+        let event = Arc::new(EventLoops::spawn(&shared));
         let accept = {
             let shared = shared.clone();
+            let event = event.clone();
             std::thread::Builder::new()
                 .name("cachekv-accept".into())
-                .spawn(move || accept_loop(&shared))
+                .spawn(move || accept_loop(&shared, &event))
                 .expect("spawn accept loop")
         };
         KvServer {
             shared,
+            event,
             accept: Some(accept),
         }
     }
@@ -534,7 +487,7 @@ impl KvServer {
         merged_snapshot_json(&self.shared)
     }
 
-    /// Stop accepting, force-close connections, then drain and stop every
+    /// Stop accepting, close every connection, then drain and stop every
     /// shard committer. Everything already accepted onto a queue is
     /// committed before this returns.
     pub fn shutdown(mut self) {
@@ -549,19 +502,11 @@ impl KvServer {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        for closer in self.shared.conn_closers.lock().drain(..) {
-            closer();
-        }
-        for h in self.shared.conn_threads.lock().drain(..) {
-            let _ = h.join();
-        }
-        // Stop the event loops after their sockets were shut down above:
+        // Stop the event loops (each shuts down the sockets it owns):
         // joining here guarantees no I/O thread submits past this point,
         // so the drain below sees a closed set of work.
-        if let Some(ev) = self.shared.event.get() {
-            ev.shutdown();
-        }
-        // Drain after the readers stop submitting: every accepted write is
+        self.event.shutdown();
+        // Drain after the I/O threads stop submitting: every accepted write is
         // committed (and acked, where the connection still exists) before
         // shutdown returns. The replication shipper must outlive the
         // drain — sync-mode committers park on follower acks — so it is
@@ -584,128 +529,25 @@ impl Drop for KvServer {
     }
 }
 
-fn accept_loop(shared: &Arc<ServerShared>) {
-    while let Some(mut conn) = shared.transport.accept() {
+fn accept_loop(shared: &Arc<ServerShared>, event: &EventLoops) {
+    while let Some(conn) = shared.transport.accept() {
         if shared.stopping.load(Ordering::Acquire) {
             break;
         }
         let obs = &shared.obs;
-        if obs.connections.get() >= shared.cfg.max_connections as i64 {
+        if obs.conns.get() >= shared.cfg.max_connections as i64 {
             // At capacity: refuse by dropping the connection (the peer
             // sees EOF).
             continue;
         }
-        obs.connections.inc();
-        obs.connections_total.inc();
         obs.conns.inc();
         obs.accepts.inc();
-        shared.conn_closers.lock().push(conn.closer);
-        // Socket connections multiplex onto the event loops (spawned
-        // lazily on first use); loopback — and every connection when
-        // `io_threads == 0` — keeps the blocking thread-pair path.
-        if shared.cfg.io_threads > 0 {
-            if let Some(stream) = conn.stream.take() {
-                let loops = shared
-                    .event
-                    .get_or_init(|| EventLoops::spawn(shared.clone(), shared.cfg.io_threads));
-                loops.register(stream, conn.peer);
-                continue;
-            }
-        }
-        let handle = {
-            let shared = shared.clone();
-            let peer = conn.peer.clone();
-            let rx = conn.rx;
-            let tx = conn.tx;
-            std::thread::Builder::new()
-                .name(format!("cachekv-conn-{peer}"))
-                .spawn(move || serve_connection(&shared, rx, tx))
-                .expect("spawn connection thread")
-        };
-        shared.conn_threads.lock().push(handle);
+        event.register(conn.socket);
     }
-}
-
-/// Writer thread: drain the response channel, coalescing flushes.
-fn writer_loop(rx: &Receiver<WriterMsg>, mut tx: Box<dyn Write + Send>) {
-    loop {
-        let msg = match rx.recv() {
-            Ok(m) => m,
-            Err(_) => return,
-        };
-        let mut m = msg;
-        loop {
-            match m {
-                WriterMsg::Close => return,
-                WriterMsg::Frame(payload) => {
-                    if write_frame(&mut tx, &payload).is_err() {
-                        return;
-                    }
-                }
-            }
-            match rx.try_recv() {
-                Ok(next) => m = next,
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return,
-            }
-        }
-        if tx.flush().is_err() {
-            return;
-        }
-    }
-}
-
-/// Reader thread: decode frames, dispatch, loop. Exits on EOF, frame
-/// corruption, or server shutdown (closer-induced EOF).
-fn serve_connection(
-    shared: &Arc<ServerShared>,
-    mut rx: Box<dyn std::io::Read + Send>,
-    tx: Box<dyn Write + Send>,
-) {
-    let (wtx, wrx) = unbounded::<WriterMsg>();
-    let writer = std::thread::Builder::new()
-        .name("cachekv-conn-writer".into())
-        .spawn(move || writer_loop(&wrx, tx))
-        .expect("spawn connection writer");
-    let reply = ReplySender {
-        route: ReplyRoute::Thread(wtx.clone()),
-        obs: shared.obs.clone(),
-    };
-    let mut ctx = ConnCtx::new(shared, false);
-
-    while let Ok(Some(payload)) = read_frame(&mut rx) {
-        let obs = &shared.obs;
-        obs.bytes_in.add(payload.len() as u64 + 8);
-        obs.requests.inc();
-        let (id, req) = match decode_request(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                obs.errors.inc();
-                // The id prefix decodes even for malformed bodies wherever
-                // at least 8 bytes arrived; use 0 otherwise.
-                let id = payload
-                    .get(..8)
-                    .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-                    .unwrap_or(0);
-                reply.send(id, &Response::Err(format!("bad request: {e}")));
-                continue;
-            }
-        };
-        dispatch(shared, id, req, &reply, &mut ctx);
-    }
-
-    release_repl_link(shared, ctx.conn_id);
-
-    let _ = wtx.send(WriterMsg::Close);
-    drop(wtx);
-    let _ = writer.join();
-    shared.obs.connections.dec();
-    shared.obs.conns.dec();
 }
 
 /// Release the replication-link registration if `conn_id` held it, so a
-/// restarted primary can re-register on a fresh connection. Shared by
-/// both connection paths' teardown.
+/// restarted primary can re-register on a fresh connection.
 pub(crate) fn release_repl_link(shared: &ServerShared, conn_id: u64) {
     if let Some(ctl) = &shared.follower {
         let _ = ctl.repl_conn.compare_exchange(
@@ -714,17 +556,6 @@ pub(crate) fn release_repl_link(shared: &ServerShared, conn_id: u64) {
             Ordering::AcqRel,
             Ordering::Acquire,
         );
-    }
-}
-
-/// Submit via the path-appropriate enqueue: blocking (per-queue
-/// backpressure) for thread-per-connection readers, unbounded (budget-
-/// bounded) for event-loop I/O threads that must never park.
-fn submit_routed(shard: &Shard, sub: Submission, ctx: &ConnCtx) -> bool {
-    if ctx.nonblocking {
-        shard.submit_unbounded(sub)
-    } else {
-        shard.submit(sub)
     }
 }
 
@@ -790,20 +621,16 @@ pub(crate) fn dispatch(
                 return;
             };
             let shard = &shared.shards[shard_for_key(&key, n)];
-            let accepted = submit_routed(
-                shard,
-                Submission {
-                    ops: vec![SubOp::Put { key, value }],
-                    ack: Ack::Single {
-                        id,
-                        reply: reply.clone(),
-                        started: Instant::now(),
-                        latency: obs.put_ns.clone(),
-                    },
-                    permit: Some(permit),
+            let accepted = shard.submit(Submission {
+                ops: vec![SubOp::Put { key, value }],
+                ack: Ack::Single {
+                    id,
+                    reply: reply.clone(),
+                    started: Instant::now(),
+                    latency: obs.put_ns.clone(),
                 },
-                ctx,
-            );
+                permit: Some(permit),
+            });
             if !accepted {
                 reply.send(id, &Response::Err("server shutting down".into()));
             }
@@ -819,20 +646,16 @@ pub(crate) fn dispatch(
                 return;
             };
             let shard = &shared.shards[shard_for_key(&key, n)];
-            let accepted = submit_routed(
-                shard,
-                Submission {
-                    ops: vec![SubOp::Delete { key }],
-                    ack: Ack::Single {
-                        id,
-                        reply: reply.clone(),
-                        started: Instant::now(),
-                        latency: obs.delete_ns.clone(),
-                    },
-                    permit: Some(permit),
+            let accepted = shard.submit(Submission {
+                ops: vec![SubOp::Delete { key }],
+                ack: Ack::Single {
+                    id,
+                    reply: reply.clone(),
+                    started: Instant::now(),
+                    latency: obs.delete_ns.clone(),
                 },
-                ctx,
-            );
+                permit: Some(permit),
+            });
             if !accepted {
                 reply.send(id, &Response::Err("server shutting down".into()));
             }
@@ -884,18 +707,14 @@ pub(crate) fn dispatch(
             );
             for s in live {
                 let (slots, sub_ops) = std::mem::take(&mut parts[s]);
-                let accepted = submit_routed(
-                    &shared.shards[s],
-                    Submission {
-                        ops: sub_ops,
-                        ack: Ack::BatchPart {
-                            acc: acc.clone(),
-                            slots,
-                        },
-                        permit: None,
+                let accepted = shared.shards[s].submit(Submission {
+                    ops: sub_ops,
+                    ack: Ack::BatchPart {
+                        acc: acc.clone(),
+                        slots,
                     },
-                    ctx,
-                );
+                    permit: None,
+                });
                 if !accepted {
                     reply.send(id, &Response::Err("server shutting down".into()));
                     return;
@@ -911,7 +730,8 @@ pub(crate) fn dispatch(
             if sync {
                 // The wire form of `quiesce`: wait until every accepted
                 // submission is committed and every shard's background
-                // work is done. Blocks only this connection's reader.
+                // work is done. Parks this I/O thread for the duration;
+                // committers ack through the outbound queues without it.
                 for shard in &shared.shards {
                     shard.wait_idle_and_quiesce();
                 }
@@ -1214,11 +1034,10 @@ fn apply_repl_round(
             ReplWrite::Delete { key } => SubOp::Delete { key },
         })
         .collect();
-    // Replicated rounds bypass both the queue cap and the admission
-    // budget: shedding or blocking one would gap the seq stream (the
-    // primary's backlog cap already bounds what can be in flight), and on
-    // the event path the link's I/O thread must not park.
-    let accepted = shared.shards[shard as usize].submit_unbounded(Submission {
+    // Replicated rounds bypass the admission budget: shedding one would
+    // gap the seq stream (the primary's backlog cap already bounds what
+    // can be in flight).
+    let accepted = shared.shards[shard as usize].submit(Submission {
         ops,
         ack: Ack::Repl {
             id,

@@ -1,5 +1,5 @@
-//! One shard: a bounded submission queue in front of a [`KvStore`], drained
-//! by a committer thread in group-commit rounds.
+//! One shard: a submission queue in front of a [`KvStore`], drained by a
+//! committer thread in group-commit rounds.
 //!
 //! Writes are acked only after their whole batch is applied. Under eADR the
 //! engine's append publish (the sub-MemTable header CAS) *is* the
@@ -9,10 +9,12 @@
 //! (`tests/server_crash.rs`) kills a shard mid-traffic and verifies exactly
 //! that.
 //!
-//! The queue is bounded: when it is full, [`Shard::submit`] blocks the
-//! calling connection-reader thread, which stops draining the transport,
-//! which backpressures the client — no unbounded buffering anywhere in the
-//! pipeline.
+//! The queue itself has no cap and [`Shard::submit`] never blocks (its
+//! callers are event-loop I/O threads, each serving many connections).
+//! What bounds it is upstream: client writes hold a permit of the
+//! server-wide admission budget from dispatch until their ack, so at most
+//! `admit_max_requests` ops are queued across all shards; replicated rounds
+//! are bounded by the primary's backlog cap.
 
 use crate::cache::{key_hash, HotCache};
 use crate::obs::ServerObs;
@@ -179,9 +181,7 @@ struct ShardInner {
     store: RwLock<Arc<dyn KvStore>>,
     q: Mutex<ShardQueue>,
     not_empty: Condvar,
-    not_full: Condvar,
     idle: Condvar,
-    cap: usize,
     commit_max: usize,
     stop: AtomicBool,
     obs: Arc<ServerObs>,
@@ -208,13 +208,12 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Spawn the committer for `store`. `cap` bounds the submission queue;
-    /// `commit_max` caps submissions per group-commit round. `repl` hooks
+    /// Spawn the committer for `store`. `commit_max` caps submissions per
+    /// group-commit round. `repl` hooks
     /// every committed round into primary-side replication.
     pub fn spawn(
         index: usize,
         store: Arc<dyn KvStore>,
-        cap: usize,
         commit_max: usize,
         obs: Arc<ServerObs>,
         cache: Arc<HotCache>,
@@ -231,9 +230,7 @@ impl Shard {
                 in_flight: 0,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
             idle: Condvar::new(),
-            cap: cap.max(1),
             commit_max: commit_max.max(1),
             stop: AtomicBool::new(false),
             obs,
@@ -282,34 +279,12 @@ impl Shard {
         }
     }
 
-    /// Enqueue a submission, blocking while the queue is full
-    /// (backpressure). Returns `false` if the shard is shutting down.
+    /// Enqueue a submission; never blocks (the admission budget bounds
+    /// what reaches the queue). Returns `false` only if the shard is
+    /// shutting down.
     pub fn submit(&self, sub: Submission) -> bool {
-        self.submit_inner(sub, true)
-    }
-
-    /// Enqueue without blocking on the queue cap. The event-loop path uses
-    /// this: its I/O threads must never park (one wedged reader would
-    /// stall every connection on that loop), so per-queue backpressure is
-    /// replaced by the server-wide admission budget, which bounds total
-    /// in-flight submissions before they reach any queue. Returns `false`
-    /// only if the shard is shutting down.
-    pub fn submit_unbounded(&self, sub: Submission) -> bool {
-        self.submit_inner(sub, false)
-    }
-
-    fn submit_inner(&self, sub: Submission, block_on_cap: bool) -> bool {
         let inner = &self.inner;
         let mut q = inner.q.lock();
-        if block_on_cap && q.items.len() >= inner.cap {
-            inner.obs.backpressure_waits.inc();
-            while q.items.len() >= inner.cap {
-                if inner.stop.load(Ordering::Acquire) {
-                    return false;
-                }
-                inner.not_full.wait(&mut q);
-            }
-        }
         if inner.stop.load(Ordering::Acquire) {
             return false;
         }
@@ -345,7 +320,6 @@ impl Shard {
     pub fn shutdown(mut self) {
         self.inner.stop.store(true, Ordering::Release);
         self.inner.not_empty.notify_all();
-        self.inner.not_full.notify_all();
         if let Some(h) = self.committer.take() {
             let _ = h.join();
         }
@@ -356,7 +330,6 @@ impl Drop for Shard {
     fn drop(&mut self) {
         self.inner.stop.store(true, Ordering::Release);
         self.inner.not_empty.notify_all();
-        self.inner.not_full.notify_all();
         if let Some(h) = self.committer.take() {
             let _ = h.join();
         }
@@ -406,7 +379,6 @@ fn committer_loop(inner: &Arc<ShardInner>) {
             inner.obs.queue_depth.add(-(n as i64));
             batch
         };
-        inner.not_full.notify_all();
         commit_round(inner, batch);
     }
 }

@@ -1,44 +1,92 @@
-//! Pluggable byte transports.
+//! Byte transports: how a [`Connection`] comes to exist.
 //!
-//! The server accepts [`Connection`]s from a [`Transport`]; a connection is
-//! an independent read half and write half so the per-connection reader and
-//! writer threads can run concurrently (pipelining requires reading request
-//! K+1 while response K is still being written).
+//! A connection is one connected stream [`Socket`]. The server hands every
+//! accepted socket to an event-loop I/O thread, which runs it nonblocking
+//! under a poller (see `event_loop`); a client uses the same socket
+//! blocking, reading and writing it from different threads through `&Socket`
+//! (pipelining requires reading response K while request K+1 is written).
 //!
-//! Two implementations:
+//! Two implementations of [`Transport`], one serving path:
 //!
-//! * [`LoopbackTransport`] — an in-process duplex byte channel with a
-//!   bounded buffer per direction. Deterministic (no sockets, no ports),
-//!   used by the test suite, the crash harness, and the loopback bench; the
-//!   bounded buffer means transport backpressure is real even in-process.
-//! * [`TcpTransport`] — a `std::net` TCP listener (no async runtime; the
-//!   server runs a thread per connection, which is the right shape for the
-//!   thread-per-core engine underneath).
+//! * [`LoopbackTransport`] — `connect` makes a `UnixStream::pair()`, keeps
+//!   the client end and queues the server end for `accept`. No ports, no
+//!   listener; the test suite, the crash sweeps and the loopback benches use
+//!   it. Transport backpressure is the kernel socket buffer, as for TCP.
+//! * [`TcpTransport`] — a `std::net` TCP listener.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Force-closes a connection from a third thread (unblocking a reader
-/// parked in `read`); used by server shutdown.
-pub type Closer = Box<dyn Fn() + Send + Sync>;
+/// A connected stream socket: the one thing both transports produce and the
+/// event loop polls.
+pub enum Socket {
+    Tcp(TcpStream),
+    Unix(UnixStream),
+}
 
-/// One accepted or dialed connection: a read half and a write half that can
-/// be moved to different threads, plus a closer usable from anywhere.
+impl Socket {
+    pub fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+        match self {
+            Socket::Tcp(s) => s.set_nonblocking(on),
+            Socket::Unix(s) => s.set_nonblocking(on),
+        }
+    }
+
+    /// Shut down both directions. Callable from any thread: a reader parked
+    /// in `read` sees EOF, a writer parked on a full buffer fails with
+    /// `BrokenPipe`, and the peer sees EOF once it drains what was sent.
+    pub fn shutdown(&self) -> io::Result<()> {
+        match self {
+            Socket::Tcp(s) => s.shutdown(Shutdown::Both),
+            Socket::Unix(s) => s.shutdown(Shutdown::Both),
+        }
+    }
+}
+
+impl AsRawFd for Socket {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Socket::Tcp(s) => s.as_raw_fd(),
+            Socket::Unix(s) => s.as_raw_fd(),
+        }
+    }
+}
+
+// Like `std`'s sockets, a shared reference reads and writes: the kernel
+// object is the synchronisation point, so one thread may read while another
+// writes.
+impl Read for &Socket {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Socket::Tcp(s) => (&*s).read(buf),
+            Socket::Unix(s) => (&*s).read(buf),
+        }
+    }
+}
+
+impl Write for &Socket {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Socket::Tcp(s) => (&*s).write(buf),
+            Socket::Unix(s) => (&*s).write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One accepted or dialed connection.
 pub struct Connection {
     /// Peer label for logs/metrics ("loopback", "127.0.0.1:43210", ...).
     pub peer: String,
-    pub rx: Box<dyn Read + Send>,
-    pub tx: Box<dyn Write + Send>,
-    pub closer: Closer,
-    /// The underlying socket when this connection is a real `TcpStream`
-    /// (`None` for loopback). The server's event loop claims it to run the
-    /// connection nonblocking under a poller; when absent (or when the
-    /// event loop is disabled) the blocking reader/writer-thread path is
-    /// used, which is what keeps loopback deterministic.
-    pub stream: Option<TcpStream>,
+    pub socket: Socket,
 }
 
 /// Server-side listener abstraction.
@@ -57,139 +105,11 @@ pub trait Transport: Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// Loopback: bounded in-process byte pipes
+// Loopback: in-process socket pairs
 // ---------------------------------------------------------------------------
 
-/// Per-direction bounded byte buffer backing the loopback transport.
-const PIPE_CAP: usize = 256 << 10;
-
-struct PipeState {
-    buf: VecDeque<u8>,
-    /// Writer half dropped: readers drain what's left, then see EOF.
-    write_closed: bool,
-    /// Reader half dropped: writers get `BrokenPipe` immediately.
-    read_closed: bool,
-}
-
-struct Pipe {
-    state: Mutex<PipeState>,
-    readable: Condvar,
-    writable: Condvar,
-}
-
-impl Pipe {
-    fn new() -> Arc<Self> {
-        Arc::new(Pipe {
-            state: Mutex::new(PipeState {
-                buf: VecDeque::new(),
-                write_closed: false,
-                read_closed: false,
-            }),
-            readable: Condvar::new(),
-            writable: Condvar::new(),
-        })
-    }
-}
-
-/// Read half of a loopback pipe.
-pub struct PipeReader(Arc<Pipe>);
-
-/// Write half of a loopback pipe.
-pub struct PipeWriter(Arc<Pipe>);
-
-impl Read for PipeReader {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        if out.is_empty() {
-            return Ok(0);
-        }
-        let mut st = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if !st.buf.is_empty() {
-                let n = out.len().min(st.buf.len());
-                for slot in out.iter_mut().take(n) {
-                    *slot = st.buf.pop_front().unwrap();
-                }
-                drop(st);
-                self.0.writable.notify_all();
-                return Ok(n);
-            }
-            if st.write_closed {
-                return Ok(0); // clean EOF
-            }
-            st = self.0.readable.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-impl Drop for PipeReader {
-    fn drop(&mut self) {
-        let mut st = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.read_closed = true;
-        drop(st);
-        self.0.writable.notify_all();
-    }
-}
-
-impl Write for PipeWriter {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        if data.is_empty() {
-            return Ok(0);
-        }
-        let mut st = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if st.read_closed {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "loopback peer closed",
-                ));
-            }
-            let room = PIPE_CAP - st.buf.len();
-            if room > 0 {
-                let n = data.len().min(room);
-                st.buf.extend(&data[..n]);
-                drop(st);
-                self.0.readable.notify_all();
-                return Ok(n);
-            }
-            // Buffer full: block — this is the transport-level backpressure
-            // the loopback shares with real sockets.
-            st = self.0.writable.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl Drop for PipeWriter {
-    fn drop(&mut self) {
-        let mut st = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.write_closed = true;
-        drop(st);
-        self.0.readable.notify_all();
-    }
-}
-
-/// Create one unidirectional bounded byte pipe.
-pub fn pipe() -> (PipeWriter, PipeReader) {
-    let p = Pipe::new();
-    (PipeWriter(p.clone()), PipeReader(p))
-}
-
-/// Hard-close a pipe in both roles: readers drain what is buffered then see
-/// EOF, writers fail with `BrokenPipe`.
-fn kill_pipe(p: &Arc<Pipe>) {
-    let mut st = p.state.lock().unwrap_or_else(|e| e.into_inner());
-    st.write_closed = true;
-    st.read_closed = true;
-    drop(st);
-    p.readable.notify_all();
-    p.writable.notify_all();
-}
-
 /// In-process transport: `connect` hands the caller the client end of a
-/// fresh duplex channel and queues the server end for `accept`.
+/// fresh socket pair and queues the server end for `accept`.
 pub struct LoopbackTransport {
     pending: Mutex<VecDeque<Connection>>,
     arrived: Condvar,
@@ -206,41 +126,24 @@ impl LoopbackTransport {
     }
 
     /// Dial the server: returns the client-side [`Connection`], or `None`
-    /// if the transport is closed.
+    /// if the transport is closed (or the process is out of descriptors).
     pub fn connect(&self) -> Option<Connection> {
         if self.closed.load(Ordering::Acquire) {
             return None;
         }
-        let c2s = Pipe::new();
-        let s2c = Pipe::new();
-        let closer = |a: Arc<Pipe>, b: Arc<Pipe>| -> Closer {
-            Box::new(move || {
-                kill_pipe(&a);
-                kill_pipe(&b);
-            })
-        };
-        let server_end = Connection {
+        let (client, server) = UnixStream::pair().ok()?;
+        let end = |s| Connection {
             peer: "loopback".into(),
-            rx: Box::new(PipeReader(c2s.clone())),
-            tx: Box::new(PipeWriter(s2c.clone())),
-            closer: closer(c2s.clone(), s2c.clone()),
-            stream: None,
-        };
-        let client_end = Connection {
-            peer: "loopback".into(),
-            rx: Box::new(PipeReader(s2c.clone())),
-            tx: Box::new(PipeWriter(c2s.clone())),
-            closer: closer(c2s, s2c),
-            stream: None,
+            socket: Socket::Unix(s),
         };
         let mut q = self.pending.lock().unwrap_or_else(|e| e.into_inner());
         if self.closed.load(Ordering::Acquire) {
             return None;
         }
-        q.push_back(server_end);
+        q.push_back(end(server));
         drop(q);
         self.arrived.notify_one();
-        Some(client_end)
+        Some(end(client))
     }
 }
 
@@ -298,32 +201,23 @@ impl TcpTransport {
 
     /// Dial a server (client side); independent of any listener instance.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Connection> {
-        let stream = TcpStream::connect(addr)?;
-        tcp_connection(stream)
+        Ok(tcp_connection(TcpStream::connect(addr)?))
     }
 }
 
-/// Split a `TcpStream` into a [`Connection`]. `TCP_NODELAY` is set on every
+/// Wrap a `TcpStream` as a [`Connection`]. `TCP_NODELAY` is set on every
 /// accepted and dialed socket: the protocol pipelines many small frames and
 /// Nagle batching would serialize them behind delayed ACKs.
-pub fn tcp_connection(stream: TcpStream) -> io::Result<Connection> {
+fn tcp_connection(stream: TcpStream) -> Connection {
     stream.set_nodelay(true).ok();
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "tcp".into());
-    let rx = stream.try_clone()?;
-    let close_handle = stream.try_clone()?;
-    let raw = stream.try_clone()?;
-    Ok(Connection {
+    Connection {
         peer,
-        rx: Box::new(rx),
-        tx: Box::new(stream),
-        closer: Box::new(move || {
-            let _ = close_handle.shutdown(std::net::Shutdown::Both);
-        }),
-        stream: Some(raw),
-    })
+        socket: Socket::Tcp(stream),
+    }
 }
 
 impl Transport for TcpTransport {
@@ -337,10 +231,7 @@ impl Transport for TcpTransport {
                     if self.closed.load(Ordering::Acquire) {
                         return None;
                     }
-                    match tcp_connection(stream) {
-                        Ok(conn) => return Some(conn),
-                        Err(_) => continue,
-                    }
+                    return Some(tcp_connection(stream));
                 }
                 Err(_) => {
                     if self.closed.load(Ordering::Acquire) {
@@ -366,59 +257,28 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
 
-    #[test]
-    fn pipe_roundtrip_and_eof() {
-        let (mut w, mut r) = pipe();
-        w.write_all(b"abc").unwrap();
-        let mut buf = [0u8; 3];
-        r.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"abc");
-        drop(w);
-        assert_eq!(r.read(&mut buf).unwrap(), 0, "EOF after writer drop");
-    }
-
-    #[test]
-    fn pipe_backpressure_blocks_then_unblocks() {
-        let (mut w, mut r) = pipe();
-        let big = vec![7u8; PIPE_CAP + 1024];
-        let t = std::thread::spawn(move || {
-            w.write_all(&big).unwrap();
-            drop(w);
-        });
-        // Drain everything; the writer can only finish once we free room.
-        let mut total = 0usize;
-        let mut buf = [0u8; 4096];
-        loop {
-            let n = r.read(&mut buf).unwrap();
-            if n == 0 {
-                break;
-            }
-            total += n;
-        }
-        assert_eq!(total, PIPE_CAP + 1024);
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn pipe_write_after_reader_drop_is_broken() {
-        let (mut w, r) = pipe();
-        drop(r);
-        let err = w.write(b"x").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-    }
+    /// More than any default socket buffer holds: a blocking write of this
+    /// much to a peer that never reads must park.
+    const OVER_SOCKET_BUFFER: usize = 8 << 20;
 
     #[test]
     fn loopback_connect_accept_duplex() {
         let t = LoopbackTransport::new();
-        let mut client = t.connect().unwrap();
-        let mut server = t.accept().unwrap();
-        client.tx.write_all(b"ping").unwrap();
+        let client = t.connect().unwrap();
+        let server = t.accept().unwrap();
+        (&client.socket).write_all(b"ping").unwrap();
         let mut buf = [0u8; 4];
-        server.rx.read_exact(&mut buf).unwrap();
+        (&server.socket).read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"ping");
-        server.tx.write_all(b"pong").unwrap();
-        client.rx.read_exact(&mut buf).unwrap();
+        (&server.socket).write_all(b"pong").unwrap();
+        (&client.socket).read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"pong");
+        drop(client);
+        assert_eq!(
+            (&server.socket).read(&mut buf).unwrap(),
+            0,
+            "EOF after drop"
+        );
     }
 
     #[test]
@@ -436,13 +296,16 @@ mod tests {
     fn closer_unblocks_parked_reader() {
         let t = LoopbackTransport::new();
         let _client = t.connect().unwrap(); // held open: reader would park forever
-        let Connection { mut rx, closer, .. } = t.accept().unwrap();
-        let h = std::thread::spawn(move || {
-            let mut b = [0u8; 1];
-            rx.read(&mut b).unwrap()
-        });
+        let server = Arc::new(t.accept().unwrap().socket);
+        let h = {
+            let server = server.clone();
+            std::thread::spawn(move || {
+                let mut b = [0u8; 1];
+                (&*server).read(&mut b).unwrap()
+            })
+        };
         std::thread::sleep(std::time::Duration::from_millis(20));
-        closer();
+        server.shutdown().unwrap();
         assert_eq!(h.join().unwrap(), 0, "closed connection reads EOF");
     }
 
@@ -450,15 +313,20 @@ mod tests {
     fn closer_unblocks_writer_parked_on_full_pipe() {
         let t = LoopbackTransport::new();
         let _client = t.connect().unwrap(); // never reads: server tx fills up
-        let Connection { mut tx, closer, .. } = t.accept().unwrap();
-        let h = std::thread::spawn(move || {
-            // More than PIPE_CAP: the write parks on the full buffer until
-            // the closer kills the pipe, then fails with BrokenPipe instead
-            // of hanging forever.
-            tx.write_all(&vec![3u8; PIPE_CAP + 1]).unwrap_err()
-        });
+        let server = Arc::new(t.accept().unwrap().socket);
+        let h = {
+            let server = server.clone();
+            std::thread::spawn(move || {
+                // The write parks on the full socket buffer until the
+                // shutdown, then fails with BrokenPipe instead of hanging
+                // forever.
+                (&*server)
+                    .write_all(&vec![3u8; OVER_SOCKET_BUFFER])
+                    .unwrap_err()
+            })
+        };
         std::thread::sleep(std::time::Duration::from_millis(30));
-        closer();
+        server.shutdown().unwrap();
         let err = h.join().unwrap();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
     }
@@ -510,7 +378,9 @@ mod tests {
         let c = TcpTransport::connect(addr).unwrap();
         let s = h.join().unwrap();
         for conn in [&c, &s] {
-            let raw = conn.stream.as_ref().expect("tcp connection has stream");
+            let Socket::Tcp(raw) = &conn.socket else {
+                panic!("tcp connection carries a TcpStream");
+            };
             assert!(raw.nodelay().unwrap(), "TCP_NODELAY set on {}", conn.peer);
         }
         t.close();
@@ -523,16 +393,16 @@ mod tests {
         let h = {
             let t = t.clone();
             std::thread::spawn(move || {
-                let mut conn = t.accept().unwrap();
+                let conn = t.accept().unwrap();
                 let mut buf = [0u8; 2];
-                conn.rx.read_exact(&mut buf).unwrap();
-                conn.tx.write_all(&buf).unwrap();
+                (&conn.socket).read_exact(&mut buf).unwrap();
+                (&conn.socket).write_all(&buf).unwrap();
             })
         };
-        let mut c = TcpTransport::connect(addr).unwrap();
-        c.tx.write_all(b"hi").unwrap();
+        let c = TcpTransport::connect(addr).unwrap();
+        (&c.socket).write_all(b"hi").unwrap();
         let mut buf = [0u8; 2];
-        c.rx.read_exact(&mut buf).unwrap();
+        (&c.socket).read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"hi");
         h.join().unwrap();
         t.close();

@@ -95,7 +95,7 @@ pub struct Waker {
 }
 
 impl Waker {
-    /// Wake the poller. Idempotent and nonblocking: once the signal pipe is
+    /// Wake the poller. Idempotent and never blocks: once the signal pipe is
     /// full the poller is already guaranteed to wake, so a `WouldBlock` (or
     /// any other error on this one-way signal path) is deliberately dropped.
     pub fn wake(&self) {

@@ -93,10 +93,10 @@ fn print_stats(client: &KvClient) {
             n("server.errors"),
         );
         println!(
-            "commit : {} group commits over {} writes, {} backpressure waits",
+            "commit : {} group commits over {} writes, {} shed (busy)",
             n("server.group_commit.commits"),
             n("server.puts") + n("server.deletes") + n("server.batch_ops"),
-            n("server.backpressure_waits"),
+            n("server.sheds"),
         );
         let hits = n("server.cache.hits");
         let misses = n("server.cache.misses");

@@ -55,7 +55,6 @@ fn device_cfg() -> PmemConfig {
 
 fn server_cfg() -> ServerConfig {
     ServerConfig {
-        shard_queue_cap: 64,
         group_commit_max: 8,
         cache: HotCacheConfig::disabled(),
         ..Default::default()

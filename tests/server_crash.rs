@@ -47,7 +47,6 @@ fn server_cfg(cache: &HotCacheConfig) -> ServerConfig {
     // A small commit cap keeps many distinct group-commit rounds in the
     // event stream, so the sweep lands inside rounds, not between them.
     ServerConfig {
-        shard_queue_cap: 64,
         group_commit_max: 8,
         cache: cache.clone(),
         ..Default::default()
