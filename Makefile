@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt clippy build test sweep bench bench-smoke serve kvbench-quick kvbench-test
+.PHONY: verify fmt clippy build test sweep bench bench-smoke serve kvbench-quick kvbench-test kvbench-ab
 
 verify: fmt clippy test sweep
 
@@ -27,6 +27,18 @@ kvbench-quick:
 
 kvbench-test:
 	$(CARGO) test --manifest-path benchmark/Cargo.toml
+
+# Paired A/B of kvbench, the noise-floor rule as one command: BASE (a git
+# revision, checked out under target/kvbench-ab/) against the working
+# tree, PAIRS alternating pairs plus one unseen seed, per-metric medians,
+# quartiles and win counts (see scripts/kvbench_ab.py). Without BASE:
+# HEAD if tracked files are modified, else HEAD~1.
+BASE ?=
+WORKLOAD ?= mixed_repl
+PAIRS ?= 10
+kvbench-ab:
+	python3 scripts/kvbench_ab.py --workload $(WORKLOAD) --pairs $(PAIRS) \
+		$(if $(BASE),--base $(BASE))
 
 # Strided crash-point sweep: fault injection at many persistence events,
 # recovery verified differentially (see DESIGN.md, "Crash testing"), plus

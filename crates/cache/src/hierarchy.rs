@@ -173,6 +173,9 @@ impl Hierarchy {
     /// XPBuffer applied. The result is byte-equivalent to the survivor
     /// image a power failure at this instant would produce, but the cache
     /// stays warm and CAT regions stay established — execution continues.
+    /// Like [`PmemDevice::clone_media`](cachekv_pmem::PmemDevice::clone_media),
+    /// each DIMM image stops at its last non-zero XPLine, so it may be
+    /// shorter than the DIMM's capacity.
     /// Callers must ensure no store races the capture (quiesce writers
     /// first) or the image may split one thread's store sequence.
     pub fn capture_media(&self) -> Vec<Vec<u8>> {

@@ -823,7 +823,9 @@ impl KvStore for CacheKv {
     /// flush, merge, or dump mid-write), then a point-in-time LLC
     /// writeback + media clone. The caller holds off foreground writes;
     /// [`CacheKv::recover`] on the returned image rebuilds an equivalent
-    /// store — replication bootstrap ships exactly these bytes.
+    /// store — replication bootstrap ships exactly these bytes. Each DIMM's
+    /// image stops at its last non-zero XPLine, so it is about as large as
+    /// what the shard has written, not the device's capacity.
     fn capture_image(&self) -> Option<Vec<Vec<u8>>> {
         self.quiesce();
         Some(self.shared.hier.capture_media())

@@ -199,7 +199,9 @@ pub trait KvStore: Send + Sync {
 
     /// Capture a crash-consistent media image of the store's persistent
     /// state (one `Vec<u8>` per DIMM), equivalent to what would survive a
-    /// power failure at this instant. The caller must guarantee no writes
+    /// power failure at this instant. A DIMM's image may be shorter than
+    /// its capacity: the bytes past it are zero (`PmemDevice::from_media`
+    /// restores them). The caller must guarantee no writes
     /// race the capture (e.g. call from the single committer thread at a
     /// group-commit round boundary); background housekeeping is quiesced
     /// internally. Used by replication snapshot bootstrap; stores without

@@ -12,7 +12,7 @@ use crate::faults::{self, FaultEventKind, FaultObserver, FaultPlan, FaultState, 
 use crate::media::{Dimm, DimmEffects};
 use crate::stats::{PmemStats, StatsCell};
 use crate::xpbuffer::SlotSnapshot;
-use crate::{CACHELINE, SECTORS_PER_XPLINE};
+use crate::{CACHELINE, SECTORS_PER_XPLINE, XPLINE};
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -47,18 +47,34 @@ impl PmemDevice {
     }
 
     /// Rebuild a device from a crash survivor image (one `Vec<u8>` per
-    /// DIMM, as produced in a [`TripReport`]). The XPBuffers start empty:
-    /// after a power failure everything that survived is on the media.
+    /// DIMM, as produced in a [`TripReport`] or by
+    /// [`PmemDevice::clone_media`]). A DIMM image shorter than
+    /// `dimm_capacity` is the DIMM's leading bytes: the rest is zero, and
+    /// is restored as zero. The XPBuffers start empty: after a power
+    /// failure everything that survived is on the media.
+    ///
+    /// Panics if the image has the wrong DIMM count or a DIMM image is
+    /// longer than `dimm_capacity`.
     pub fn from_media(config: PmemConfig, media: Vec<Vec<u8>>) -> Self {
         assert_eq!(media.len(), config.num_dimms, "image has wrong DIMM count");
         let dimms = media
             .into_iter()
             .map(|m| {
-                assert_eq!(
+                assert!(
+                    m.len() <= config.dimm_capacity,
+                    "DIMM image longer than capacity: {} > {}",
                     m.len(),
-                    config.dimm_capacity,
-                    "image has wrong DIMM capacity"
+                    config.dimm_capacity
                 );
+                let m = if m.len() < config.dimm_capacity {
+                    // Zeroed allocation: the trailing pages stay unmapped
+                    // until the store touches them.
+                    let mut full = vec![0u8; config.dimm_capacity];
+                    full[..m.len()].copy_from_slice(&m);
+                    full
+                } else {
+                    m
+                };
                 Mutex::new(Dimm::from_media(m, config.xpbuffer_slots))
             })
             .collect();
@@ -72,16 +88,25 @@ impl PmemDevice {
     }
 
     /// Byte-exact copy of the media as it would survive a power failure
-    /// right now (XPBuffer applied — it is inside the persistence domain).
+    /// right now (XPBuffer applied — it is inside the persistence domain),
+    /// one `Vec<u8>` per DIMM, each trimmed of its trailing all-zero
+    /// XPLines: a DIMM image may be shorter than `dimm_capacity` (empty for
+    /// an all-zero DIMM). [`PmemDevice::from_media`] restores the trimmed
+    /// zeros exactly.
     pub fn clone_media(&self) -> Vec<Vec<u8>> {
         self.dimms
             .iter()
             .map(|dm| {
                 let dm = dm.lock();
-                let mut media = dm.media().to_vec();
-                for s in dm.buffer_snapshot() {
-                    Self::apply_slot(&mut media, &s, s.valid_mask);
+                let slots = dm.buffer_snapshot();
+                let staged_end = slots.iter().map(|s| s.line as usize + XPLINE).max();
+                let end = nonzero_extent(dm.media()).max(staged_end.unwrap_or(0));
+                let mut media = dm.media()[..end].to_vec();
+                for s in &slots {
+                    Self::apply_slot(&mut media, s, s.valid_mask);
                 }
+                // A staged slot may have zeroed the lines it covers.
+                media.truncate(nonzero_extent(&media));
                 media
             })
             .collect()
@@ -395,6 +420,16 @@ impl PmemDevice {
     }
 }
 
+/// Length of `media` up to the end of its last XPLine holding a non-zero
+/// byte (0 if every byte is zero). `media` is XPLine aligned.
+fn nonzero_extent(media: &[u8]) -> usize {
+    const ZERO: [u8; XPLINE] = [0; XPLINE];
+    media
+        .chunks(XPLINE)
+        .rposition(|line| line != &ZERO[..line.len()])
+        .map_or(0, |i| (i + 1) * XPLINE)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,15 +659,44 @@ mod tests {
 
     #[test]
     fn from_media_roundtrips_clone_media() {
-        let d = dev();
-        d.write(100, &[7u8; 500]); // spans XPLines, leaves staged slots
+        let cfg = PmemConfig {
+            num_dimms: 4,
+            dimm_capacity: 64 << 10,
+            ..PmemConfig::small()
+        };
+        let cap = cfg.dimm_capacity;
+        let d = PmemDevice::new(cfg.clone());
+        // Global address of DIMM-local offset `local` on DIMM `dimm`.
+        let addr = |dimm: u64, local: u64| ((local / 4096) * 4 + dimm) * 4096 + local % 4096;
+        // DIMM 0: data on the media, then a staged slot past it.
+        d.write(addr(0, 100), &[7u8; 500]);
+        d.drain();
+        d.write_cacheline(addr(0, 8192), &[8u8; 64]);
+        // DIMM 1: never written (all zero).
+        // DIMM 2: written up to its last XPLine.
+        d.write_cacheline(addr(2, 4096), &[9u8; 64]);
+        d.write_cacheline(addr(2, cap as u64 - 64), &[10u8; 64]);
+        d.drain();
+        // DIMM 3: a staged slot zeroing the media's last non-zero line.
+        d.write_cacheline(addr(3, 0), &[11u8; 64]);
+        d.write_cacheline(addr(3, 4096), &[12u8; 64]);
+        d.drain();
+        d.write_cacheline(addr(3, 4096), &[0u8; 64]);
+
+        let mut full = vec![0u8; d.capacity() as usize];
+        d.read(0, &mut full);
         let image = d.clone_media();
-        let r = PmemDevice::from_media(d.config().clone(), image);
-        let mut out = vec![0u8; 500];
-        r.read(100, &mut out);
-        assert!(
-            out.iter().all(|&b| b == 7),
-            "staged slots applied to the image"
-        );
+        let lens: Vec<usize> = image.iter().map(Vec::len).collect();
+        assert_eq!(lens, [8192 + XPLINE, 0, cap, XPLINE], "trimmed extents");
+
+        let r = PmemDevice::from_media(cfg.clone(), image);
+        let mut back = vec![0xEEu8; full.len()];
+        r.read(0, &mut back);
+        assert!(back == full, "every byte reads back as before the trim");
+
+        // An over-long DIMM image is still rejected.
+        let long = (0..4).map(|i| vec![0u8; cap + XPLINE * (i % 2)]).collect();
+        let res = std::panic::catch_unwind(|| PmemDevice::from_media(cfg, long));
+        assert!(res.is_err(), "over-long DIMM image accepted");
     }
 }

@@ -77,6 +77,12 @@ pub struct ServerObs {
     /// Snapshot bytes streamed (sent on the primary, received on the
     /// follower — each side counts its own).
     pub repl_snapshot_bytes: Arc<Counter>,
+    /// Bootstrap phases in µs, summed over shards: the write-gated image
+    /// capture and the SNAP_BEGIN + chunk stream (primary side), and the
+    /// verify + rebuild + store swap at SNAP_END (follower side).
+    pub repl_snap_capture_us: Arc<Counter>,
+    pub repl_snap_stream_us: Arc<Counter>,
+    pub repl_snap_install_us: Arc<Counter>,
     /// Follower promotions served (routing epoch bumps).
     pub repl_failovers: Arc<Counter>,
     /// Replication-invariant violations: out-of-order / gapped rounds,
@@ -151,6 +157,9 @@ impl ServerObs {
             repl_rounds_applied: registry.counter("server.repl.rounds_applied"),
             repl_quorum_acks: registry.counter("server.repl.quorum_acks"),
             repl_snapshot_bytes: registry.counter("server.repl.snapshot_bytes"),
+            repl_snap_capture_us: registry.counter("server.repl.snap_capture_us"),
+            repl_snap_stream_us: registry.counter("server.repl.snap_stream_us"),
+            repl_snap_install_us: registry.counter("server.repl.snap_install_us"),
             repl_failovers: registry.counter("server.repl.failovers"),
             repl_tripwire: registry.counter("server.repl.tripwire"),
             repl_link_failures: registry.counter("server.repl.link_failures"),

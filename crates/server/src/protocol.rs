@@ -7,7 +7,7 @@
 //! ```
 //!
 //! The CRC is the same Castagnoli CRC-32C the storage layer uses for log
-//! records and table blocks ([`cachekv_storage::crc32c`]), so a flipped bit
+//! records and table blocks ([`cachekv_storage::crc::crc32c`]), so a flipped bit
 //! anywhere on the wire is detected before the payload is interpreted.
 //!
 //! Request payloads are `[id: u64][opcode: u8][body]`; response payloads
@@ -132,7 +132,9 @@ pub enum Request {
     /// Snapshot stream header for bootstrapping `shard`: the image was
     /// captured at round `seq`, splits into `dimm_sizes` per-DIMM byte
     /// counts, and the CRC-32C of the concatenated image is `crc` — the
-    /// follower verifies it at SNAP_END before installing anything.
+    /// follower verifies it at SNAP_END before installing anything. Each
+    /// size is the shipped extent of that DIMM, not its capacity: the
+    /// DIMM's bytes past it are zero and are not sent.
     SnapBegin {
         shard: u32,
         seq: u64,

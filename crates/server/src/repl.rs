@@ -23,10 +23,18 @@
 //! image (`SNAP_BEGIN` / `SNAP_CHUNK` / `SNAP_END`): the shipper briefly
 //! takes the shard's write gate between rounds, captures the media via
 //! [`cachekv_lsm::KvStore::capture_image`] at round `S`, then streams the
-//! bytes while the committer keeps committing. Rounds enqueued before the
-//! capture (seq ≤ S) are acked idempotently by the follower — its applied
-//! watermark is already `S` — so the live tail-follow needs no handoff
-//! protocol.
+//! bytes while the committer keeps committing. The image is one buffer per
+//! DIMM, each only as long as the DIMM's last non-zero XPLine, so the
+//! stream carries what the shard has written rather than the device's
+//! capacity; `SNAP_BEGIN` names those per-DIMM lengths and the CRC-32C of
+//! their concatenation (computed across the buffers with
+//! [`crc32c_append`]), and the chunks are cut from the buffers in place.
+//! The follower verifies length and CRC at `SNAP_END` before it rebuilds
+//! and installs anything. Rounds enqueued before the capture (seq ≤ S) are
+//! acked idempotently by the follower — its applied watermark is already
+//! `S` — so the live tail-follow needs no handoff protocol. The phases are
+//! timed in `server.repl.snap_capture_us` and `server.repl.snap_stream_us`
+//! here, and `server.repl.snap_install_us` on the follower.
 //!
 //! **Link death.** If a ship or ack fails, the link is marked down, every
 //! sync waiter is released (degraded local-only acks, counted in
@@ -37,11 +45,12 @@ use crate::client::KvClient;
 use crate::obs::ServerObs;
 use crate::protocol::{ReplWrite, Request, Response, HELLO_REPL, MAX_FRAME};
 use crate::shard::CaptureHandle;
-use cachekv_storage::crc::crc32c;
+use cachekv_storage::crc::crc32c_append;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// When the primary releases a write ack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +61,8 @@ pub enum ReplMode {
     Async,
 }
 
-/// Snapshot chunk size on the wire (well under `MAX_FRAME`).
+/// Snapshot chunk size on the wire (well under `MAX_FRAME`); a DIMM's
+/// last chunk may be shorter.
 const SNAP_CHUNK: usize = 1 << 20;
 
 /// Serialized write-set budget per `REPL_ROUND` fragment, well under
@@ -319,6 +329,43 @@ fn ship(client: &KvClient, req: &Request) -> Result<(), ()> {
     }
 }
 
+fn micros_since(started: Instant) -> u64 {
+    started.elapsed().as_micros() as u64
+}
+
+/// Stream one shard's captured image: `SNAP_BEGIN` (per-DIMM lengths and
+/// the CRC of the whole image), each DIMM's bytes as `SNAP_CHUNK`s at
+/// consecutive offsets, then `SNAP_END`. The follower rebuilds and
+/// installs before it answers `SNAP_END`, so `snap_stream_us` stops at
+/// the last chunk's ack and the install is timed on the follower.
+fn ship_image(repl: &Replicator, shard: u32, seq: u64, dimms: &[Vec<u8>]) -> Result<(), ()> {
+    let started = Instant::now();
+    let begin = Request::SnapBegin {
+        shard,
+        seq,
+        dimm_sizes: dimms.iter().map(|d| d.len() as u64).collect(),
+        crc: dimms.iter().fold(0, |crc, d| crc32c_append(crc, d)),
+    };
+    ship(&repl.client, &begin)?;
+    let mut offset = 0u64;
+    for chunk in dimms.iter().flat_map(|d| d.chunks(SNAP_CHUNK)) {
+        let data = chunk.to_vec();
+        ship(
+            &repl.client,
+            &Request::SnapChunk {
+                shard,
+                offset,
+                data,
+            },
+        )?;
+        repl.obs.repl_snapshot_bytes.add(chunk.len() as u64);
+        offset += chunk.len() as u64;
+    }
+    repl.obs.repl_snap_stream_us.add(micros_since(started));
+    let total_len = offset;
+    ship(&repl.client, &Request::SnapEnd { shard, total_len })
+}
+
 fn shipper_loop(repl: &Arc<Replicator>, handles: &[CaptureHandle]) {
     // Phase 0: register this connection as the follower's replication
     // link — the follower refuses REPL_*/SNAP_* frames from any other
@@ -334,59 +381,15 @@ fn shipper_loop(repl: &Arc<Replicator>, handles: &[CaptureHandle]) {
     // and get acked idempotently by the follower).
     for handle in handles {
         let shard = handle.index();
+        let started = Instant::now();
         let Some((seq, dimms)) = handle.capture() else {
             // The store cannot produce a crash-consistent image; the
             // follower can never be made consistent.
             repl.mark_down();
             return;
         };
-        let sizes: Vec<u64> = dimms.iter().map(|d| d.len() as u64).collect();
-        let mut flat = Vec::with_capacity(sizes.iter().sum::<u64>() as usize);
-        for d in &dimms {
-            flat.extend_from_slice(d);
-        }
-        drop(dimms);
-        let crc = crc32c(&flat);
-        if ship(
-            &repl.client,
-            &Request::SnapBegin {
-                shard: shard as u32,
-                seq,
-                dimm_sizes: sizes,
-                crc,
-            },
-        )
-        .is_err()
-        {
-            repl.mark_down();
-            return;
-        }
-        let mut offset = 0u64;
-        for chunk in flat.chunks(SNAP_CHUNK) {
-            let ok = ship(
-                &repl.client,
-                &Request::SnapChunk {
-                    shard: shard as u32,
-                    offset,
-                    data: chunk.to_vec(),
-                },
-            );
-            if ok.is_err() {
-                repl.mark_down();
-                return;
-            }
-            repl.obs.repl_snapshot_bytes.add(chunk.len() as u64);
-            offset += chunk.len() as u64;
-        }
-        if ship(
-            &repl.client,
-            &Request::SnapEnd {
-                shard: shard as u32,
-                total_len: flat.len() as u64,
-            },
-        )
-        .is_err()
-        {
+        repl.obs.repl_snap_capture_us.add(micros_since(started));
+        if ship_image(repl, shard as u32, seq, &dimms).is_err() {
             repl.mark_down();
             return;
         }

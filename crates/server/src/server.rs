@@ -26,6 +26,7 @@ use cachekv_lsm::KvStore;
 use cachekv_obs::{Counter, Gauge, Json, StatsSnapshot};
 use cachekv_storage::crc::crc32c;
 use parking_lot::Mutex;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -108,8 +109,11 @@ pub const MAX_SNAP_IMAGE: u64 = 1 << 30;
 const SNAP_PREALLOC_CAP: usize = 64 << 20;
 
 /// Rebuilds a follower shard's store from a streamed media image (one
-/// `Vec<u8>` per DIMM): typically `PmemDevice::from_media` + recovery.
-/// The error string crosses the wire back to the primary.
+/// `Vec<u8>` per DIMM, each possibly shorter than the DIMM's capacity —
+/// the trailing bytes are zero): typically `PmemDevice::from_media`, which
+/// zero-extends, + recovery. The error string crosses the wire back to the
+/// primary; so does a panic's message — the follower catches it, installs
+/// nothing and keeps serving.
 pub type StoreFactory =
     Box<dyn Fn(usize, Vec<Vec<u8>>) -> Result<Arc<dyn KvStore>, String> + Send + Sync>;
 
@@ -1139,6 +1143,7 @@ fn snap_end(shared: &Arc<ServerShared>, shard: u32, total_len: u64, conn_id: u64
     let Some(snap) = fs.pending.lock().take() else {
         return Response::Err("SNAP_END without SNAP_BEGIN".into());
     };
+    let started = Instant::now();
     let expected: u64 = snap.dimm_sizes.iter().sum();
     if total_len != expected || snap.buf.len() as u64 != expected {
         return Response::Err(format!(
@@ -1158,13 +1163,29 @@ fn snap_end(shared: &Arc<ServerShared>, shard: u32, total_len: u64, conn_id: u64
         dimms.push(snap.buf[off..off + *sz as usize].to_vec());
         off += *sz as usize;
     }
-    let store = match (ctl.factory)(shard as usize, dimms) {
-        Ok(store) => store,
-        Err(e) => return Response::Err(format!("snapshot rebuild failed: {e}")),
+    // The factory runs on this I/O thread, which serves every other
+    // connection too: a factory that panics on an image it cannot use
+    // (say, the wrong DIMM count) fails this snapshot, not the thread.
+    let built = panic::catch_unwind(AssertUnwindSafe(|| (ctl.factory)(shard as usize, dimms)));
+    let store = match built {
+        Ok(Ok(store)) => store,
+        Ok(Err(e)) => return Response::Err(format!("snapshot rebuild failed: {e}")),
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("factory panicked");
+            return Response::Err(format!("snapshot rebuild failed: {msg}"));
+        }
     };
     let sh = &shared.shards[shard as usize];
     sh.wait_idle_and_quiesce();
     sh.replace_store(store);
+    shared
+        .obs
+        .repl_snap_install_us
+        .add(started.elapsed().as_micros() as u64);
     {
         let mut pg = fs.progress.lock();
         if snap.seq > pg.submitted {

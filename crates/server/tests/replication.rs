@@ -32,10 +32,12 @@ fn engine_cfg() -> CacheKvConfig {
 }
 
 fn device_cfg() -> PmemConfig {
-    // Small media keeps the snapshot stream (one flat image per shard)
-    // fast while still exercising the chunking path.
+    // The engine's fixed layout puts its table arena after a 17 MiB
+    // manifest + flush-log prefix; 96 MiB leaves most of the device
+    // unwritten, so a snapshot that ships only the written extent is
+    // visibly smaller than one that ships the capacity.
     PmemConfig::paper_scaled()
-        .with_total_capacity(24 << 20)
+        .with_total_capacity(96 << 20)
         .with_domain(PersistDomain::Eadr)
         .with_latency(LatencyConfig::zero())
 }
@@ -285,8 +287,24 @@ fn bootstrap_rebuilds_the_primary_image_exactly() {
     wait_until("bootstrap", Duration::from_secs(60), || {
         repl.link_stats().iter().all(|(_, _, _, live)| *live)
     });
-    assert!(pair.primary.obs().repl_snapshot_bytes.get() > 0);
-    assert!(pair.follower.obs().repl_snapshot_bytes.get() > 0);
+    // The stream carried each DIMM's written extent, not its capacity:
+    // the quiesced primaries re-capture the same trimmed images.
+    let shard_capacity = device_cfg().total_capacity();
+    let mut extents = 0;
+    for (shard, e) in engines.iter().enumerate() {
+        let extent: usize = e.capture_image().unwrap().iter().map(Vec::len).sum();
+        assert!(
+            extent < shard_capacity / 4,
+            "shard {shard} shipped {extent} of {shard_capacity} bytes"
+        );
+        extents += extent as u64;
+    }
+    let shipped = pair.primary.obs().repl_snapshot_bytes.get();
+    assert_eq!(shipped, extents, "snapshot bytes != Σ shipped extents");
+    assert_eq!(pair.follower.obs().repl_snapshot_bytes.get(), shipped);
+    assert!(pair.primary.obs().repl_snap_capture_us.get() > 0);
+    assert!(pair.primary.obs().repl_snap_stream_us.get() > 0);
+    assert!(pair.follower.obs().repl_snap_install_us.get() > 0);
 
     // Structural equivalence: the follower's rebuilt engines carry the
     // same global-index segment fences and bloom fingerprints as the
@@ -473,6 +491,62 @@ fn torn_bootstrap_is_discarded_never_served() {
     }
     assert_eq!(follower.obs().repl_tripwire.get(), 0);
     good.close();
+    probe.close();
+    follower.shutdown();
+}
+
+#[test]
+fn image_the_factory_cannot_rebuild_fails_the_snapshot_not_the_io_thread() {
+    let transport = LoopbackTransport::new();
+    let (factory, rebuilt) = recovery_factory();
+    // One I/O thread serves every connection: if the factory's panic took
+    // it down, nothing would answer again.
+    let follower = KvServer::start_follower(
+        fresh_stores(SHARDS),
+        transport.clone(),
+        ServerConfig {
+            io_threads: 1,
+            ..server_cfg()
+        },
+        factory,
+    );
+    let (image, pairs) = captured_image(100);
+    let link = KvClient::connect(transport.connect().unwrap());
+    register_repl(&link);
+
+    // A well-formed stream (length and CRC check out) of 3 of the 4 DIMM
+    // images: `PmemDevice::from_media` panics inside the factory.
+    let reqs = snap_stream_reqs(0, 9, &image[..image.len() - 1]);
+    let n = reqs.len();
+    for req in &reqs[..n - 1] {
+        expect_ok(&link, req);
+    }
+    match link.submit(&reqs[n - 1]).unwrap().wait() {
+        Ok(Response::Err(e)) => assert!(
+            e.contains("snapshot rebuild failed") && e.contains("DIMM count"),
+            "wrong rejection: {e}"
+        ),
+        other => panic!("unusable image not refused with an error: {other:?}"),
+    }
+    assert!(rebuilt.lock().unwrap().is_empty(), "bad image installed");
+
+    // The follower still serves: a fresh connection is answered, nothing
+    // from the bad image is visible, and the link can bootstrap properly.
+    let probe = KvClient::connect(transport.connect().unwrap());
+    probe
+        .ping(false)
+        .expect("follower answers after a failed rebuild");
+    let (k, v) = pairs
+        .iter()
+        .find(|(k, _)| cachekv_server::shard_for_key(k, SHARDS) == 0)
+        .unwrap();
+    assert_eq!(probe.get(k).unwrap(), None);
+    for req in snap_stream_reqs(0, 9, &image) {
+        expect_ok(&link, &req);
+    }
+    assert_eq!(probe.get(k).unwrap().as_ref(), Some(v));
+    assert_eq!(follower.obs().repl_tripwire.get(), 0);
+    link.close();
     probe.close();
     follower.shutdown();
 }

@@ -17,7 +17,8 @@
 //! del <key>            delete (alias: delete)
 //! ping                 liveness probe; `ping sync` also drains + quiesces
 //! stats                server counters + hot-cache + per-shard device summaries
-//! repl [status]        replication role, epoch, per-shard round sequence + lag
+//! repl [status]        replication role, epoch, bootstrap bytes + phase times,
+//!                      per-shard round sequence + lag
 //! cache [on|off|status]   toggle / inspect the hot-key cache tier
 //! snap                 full stats document (server + shards) as JSON
 //! crash                power-fail every shard, recover, restart the server
@@ -165,7 +166,9 @@ fn print_stats(client: &KvClient) {
 }
 
 /// Print the replication section of the stats document in full: role,
-/// epoch, shipping mode, and the per-shard round-sequence / lag detail.
+/// epoch, shipping mode, the snapshot bootstrap's bytes and phase times
+/// (from the `server.repl.*` counters), and the per-shard round-sequence /
+/// lag detail.
 fn print_repl_status(client: &KvClient) {
     let doc = match client.stats() {
         Ok(d) => d,
@@ -197,6 +200,20 @@ fn print_repl_status(client: &KvClient) {
         }
     }
     println!("{head}");
+    if let Some(c) = v
+        .get("server")
+        .and_then(|s| s.get("counters"))
+        .and_then(Json::as_obj)
+    {
+        let g = |k: &str| c.get(k).and_then(Json::as_u64).unwrap_or(0);
+        println!(
+            "bootstrap: {} snapshot bytes, capture {} us, stream {} us, install {} us",
+            g("server.repl.snapshot_bytes"),
+            g("server.repl.snap_capture_us"),
+            g("server.repl.snap_stream_us"),
+            g("server.repl.snap_install_us"),
+        );
+    }
     if let Some(shards) = repl.get("shards").and_then(Json::as_obj) {
         for (label, sh) in shards {
             let g = |k: &str| sh.get(k).and_then(Json::as_u64).unwrap_or(0);
