@@ -9,6 +9,7 @@
 //! fully reconstructible from the (persistent) sub-MemTable after a crash —
 //! which is exactly what recovery does.
 
+use crate::cursor::take_keys;
 use crate::subtable::SubTable;
 use cachekv_cache::Hierarchy;
 use cachekv_lsm::bloom::Bloom;
@@ -218,20 +219,25 @@ impl SubIndex {
             .collect()
     }
 
-    /// Indexed `(key, meta, offset)` triples with `start <= key < end`
-    /// (empty `end` = unbounded), in internal order. Seeks instead of
-    /// walking the whole list, so a narrow scan over a large index stays
-    /// cheap.
-    pub fn range_entries(&self, start: &[u8], end: &[u8]) -> Vec<IndexedEntry> {
+    /// The newest indexed `(key, meta, offset)` at or below sequence `cut`
+    /// of at most `max_keys` distinct keys with `start <= key < end`
+    /// (empty `end` = unbounded), in internal order, plus the next indexed
+    /// key past them (`None` when the range ran out first). Seeks instead
+    /// of walking the whole list and stops after `max_keys`, so a scan
+    /// copies what it can return, not the rest of the table.
+    pub fn range_entries(
+        &self,
+        start: &[u8],
+        end: &[u8],
+        max_keys: usize,
+        cut: u64,
+    ) -> (Vec<IndexedEntry>, Option<Vec<u8>>) {
         let g = self.inner.read();
-        g.list
-            .iter_from(start)
-            .take_while(|e| end.is_empty() || e.key.as_slice() < end)
-            .map(|e| {
-                let off = u32::from_le_bytes(e.value[..4].try_into().unwrap());
-                (e.key, e.meta, off)
-            })
-            .collect()
+        let walk = g.list.iter_from(start).map(|e| {
+            let off = u32::from_le_bytes(e.value[..4].try_into().unwrap());
+            (e.key, e.meta, off)
+        });
+        take_keys(walk, end, cut, max_keys)
     }
 
     /// Build a [`ReadFilter`] over every indexed key. Only meaningful once

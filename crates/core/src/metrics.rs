@@ -36,6 +36,11 @@ pub struct StoreObs {
     /// Snapshot captures thrown away and retried because a version-dropping
     /// compaction (SC fold swap, L0 dump, LSM compaction) landed mid-capture.
     pub scan_retries: Arc<Counter>,
+    /// Bounded capture rounds run by scans (at least one per capture).
+    pub scan_rounds: Arc<Counter>,
+    /// Versions scans copied out of memory sources (active, sealing and
+    /// flushed tables, global segments) — what a scan's cost follows.
+    pub scan_captured: Arc<Counter>,
     /// Figure 5 phase decomposition of the write path.
     pub put_phases: PhaseSet,
     /// Probe-order decomposition of the read path.
@@ -134,6 +139,8 @@ impl StoreObs {
             scan_items: registry.counter("core.scan.items"),
             scan_fence_skips: registry.counter("core.scan.fence_skips"),
             scan_retries: registry.counter("core.scan.retries"),
+            scan_rounds: registry.counter("core.scan.rounds"),
+            scan_captured: registry.counter("core.scan.captured"),
             put_phases: PhaseSet::register(&registry, "core.put", time_source),
             get_phases: ReadPhaseSet::register(&registry, "core.get", time_source),
             read_probes: registry.counter("core.read.probes"),

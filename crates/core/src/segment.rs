@@ -19,6 +19,7 @@
 //!   persistent flushed-table regions, and chunking is deterministic: the
 //!   same inputs rebuild the same fences and blooms.
 
+use crate::cursor::take_keys;
 use crate::index::{FilterVerdict, IndexedEntry, ReadFilter, TableEntries};
 use cachekv_lsm::kv::internal_cmp;
 use cachekv_lsm::{DramSpace, SkipList};
@@ -110,17 +111,28 @@ impl Segment {
             .collect()
     }
 
-    /// Entries with key `>= start`, in internal order. The caller applies
-    /// its end bound; segment fences already bound the tail.
-    pub fn entries_from(&self, start: &[u8]) -> Vec<GlobalEntry> {
-        self.list
-            .iter_from(start)
-            .map(|e| {
-                let gen = u64::from_le_bytes(e.value[0..8].try_into().unwrap());
-                let off = u32::from_le_bytes(e.value[8..12].try_into().unwrap());
-                (e.key, e.meta, gen, off)
-            })
-            .collect()
+    /// Entries at or below sequence `cut` of at most `max_keys` keys with
+    /// `start <= key < end` (empty `end` = unbounded), in internal order,
+    /// plus the next key past them (`None` when the segment or the range
+    /// ran out first) — one scan round's share of this segment.
+    pub fn range(
+        &self,
+        start: &[u8],
+        end: &[u8],
+        max_keys: usize,
+        cut: u64,
+    ) -> (Vec<GlobalEntry>, Option<Vec<u8>>) {
+        let walk = self.list.iter_from(start).map(|e| {
+            let gen = u64::from_le_bytes(e.value[0..8].try_into().unwrap());
+            let off = u32::from_le_bytes(e.value[8..12].try_into().unwrap());
+            (e.key, e.meta, (gen, off))
+        });
+        let (run, horizon) = take_keys(walk, end, cut, max_keys);
+        let run = run
+            .into_iter()
+            .map(|(key, meta, (gen, off))| (key, meta, gen, off))
+            .collect();
+        (run, horizon)
     }
 
     /// Approximate resident bytes (keys + fixed per-entry value).

@@ -2,7 +2,7 @@
 //! lazy index update, copy-based flush, and sub-skiplist compaction.
 
 use crate::config::CacheKvConfig;
-use crate::cursor::{MergedCursor, ScanSource, VersionedEntry};
+use crate::cursor::{Round, VersionedEntry};
 use crate::flushlog::FlushLog;
 use crate::index::{
     read_record, try_read_record, FilterVerdict, FlushedTable, SubIndex, TableEntries,
@@ -18,6 +18,7 @@ use cachekv_lsm::kv::{
     KvStore, Result,
 };
 use cachekv_lsm::tree::PmemLayout;
+use cachekv_lsm::version::Version;
 use cachekv_lsm::StorageComponent;
 use cachekv_obs::{HousekeepPhase, Phase, ReadPhase, StatsSnapshot, TimeSource};
 use cachekv_storage::PmemAllocator;
@@ -976,7 +977,8 @@ impl CacheKv {
     }
 
     /// The range-scan path: pin a consistent snapshot of every source,
-    /// then heap-merge them through a [`MergedCursor`].
+    /// then heap-merge them through a [`MergedCursor`], in bounded capture
+    /// rounds ([`Round`]) so a scan copies about what it returns.
     ///
     /// Capture runs in the read path's probe order — active views first
     /// (under their publish guards), then sealing/flushed/global under one
@@ -1003,6 +1005,17 @@ impl CacheKv {
     /// drops after it are detected. Persistent interference (tiny tables,
     /// heavy preemption) falls back to capturing under the housekeeping
     /// lock, which excludes SC and dumps entirely.
+    ///
+    /// Across rounds nothing of this changes: every round of one attempt
+    /// shares the same pin, drop-epoch sample and cut, captures in probe
+    /// order, and is validated before it is merged, so a drop anywhere in
+    /// the scan restarts the whole attempt and the housekeeping-lock
+    /// fallback covers every round. Each round emits only keys below its
+    /// smallest horizon, and the next round starts at that horizon, so the
+    /// rounds partition the result into disjoint ascending key ranges, all
+    /// read at one cut. Progress: a round starts at a key `>= lo` and its
+    /// horizon lies past at least one key at or above `lo` (every bounded
+    /// read takes `n >= 1` keys), so `lo` strictly increases.
     fn scan_inner(
         &self,
         start: &[u8],
@@ -1029,9 +1042,11 @@ impl CacheKv {
         }
     }
 
-    /// One snapshot-capture attempt: pin, cut, capture every source, then
-    /// validate that no version-dropping compaction intervened. `None`
-    /// means the capture cannot be trusted and the caller must retry.
+    /// One snapshot-capture attempt: pin, cut, then capture, validate and
+    /// merge bounded rounds until `limit` items are out or the range is
+    /// exhausted. `None` means some round's capture cannot be trusted —
+    /// a version-dropping compaction intervened — and the caller must
+    /// retry the whole attempt.
     fn scan_capture(
         &self,
         start: &[u8],
@@ -1050,7 +1065,38 @@ impl CacheKv {
         // by the cursor, so concurrent writers cannot tear the result.
         let snapshot_seq = s.storage.versions().last_seq();
         let mut scratch = Vec::new();
-        let mut sources: Vec<ScanSource> = Vec::new();
+        let mut out = Vec::new();
+        let mut lo = start.to_vec();
+        loop {
+            let mut round = Round::new(&lo, end, limit - out.len(), snapshot_seq);
+            self.capture_round(&version, &mut round, &mut scratch);
+            obs.scan_rounds.inc();
+            obs.scan_captured.add(round.captured as u64);
+            // Validate before merging: if a version-dropping swap landed
+            // since the pin, some source may have lost the
+            // newest-at-or-below-cut version of a key and the whole
+            // attempt is suspect. The memory runs are already private
+            // copies and the pinned sstables are immutable, so a *clean*
+            // round stays trustworthy for however long its merge takes.
+            if s.drop_epoch.load(Ordering::SeqCst) != epoch
+                || !Arc::ptr_eq(&version, &s.storage.versions().current())
+            {
+                return None;
+            }
+            match round.merge(&mut out) {
+                Some(horizon) => lo = horizon,
+                None => return Some(out),
+            }
+        }
+    }
+
+    /// Capture one round's sources in probe order: active views, then
+    /// sealing / flushed / global under one `mem` guard, then the pinned
+    /// LSM version. Memory sources copy at most `round.n` keys each.
+    fn capture_round(&self, version: &Version, round: &mut Round, scratch: &mut Vec<u8>) {
+        let s = &self.shared;
+        let obs = &s.obs;
+        let (lo, end, n, cut) = (round.lo, round.end, round.n, round.cut);
 
         // 1. Active sub-MemTables.
         let mask = self.active_mask.load(Ordering::SeqCst);
@@ -1062,52 +1108,52 @@ impl CacheKv {
             let Some(view) = guard.as_ref() else {
                 continue;
             };
-            let run = scan_table_range(s, &view.st, &view.index, start, end, &mut scratch);
-            drop(guard);
-            if !run.is_empty() {
-                sources.push(ScanSource::Mem(run.into_iter()));
-            }
+            scan_table_range(s, &view.st, &view.index, round, scratch);
         }
 
         // 2. Sealing, flushed, and global index under one `mem` guard.
         {
             let m = s.mem.read();
             for (st, index) in &m.sealing {
-                let run = scan_table_range(s, st, index, start, end, &mut scratch);
-                if !run.is_empty() {
-                    sources.push(ScanSource::Mem(run.into_iter()));
-                }
+                scan_table_range(s, st, index, round, scratch);
             }
             for ft in &m.flushed {
                 if let Some(f) = &ft.filter {
                     let (min, max) = f.fences();
-                    if max < start || (!end.is_empty() && min >= end) {
+                    if max < lo || (!end.is_empty() && min >= end) {
                         obs.scan_fence_skips.inc();
                         continue;
                     }
                 }
-                let mut run: Vec<VersionedEntry> = Vec::new();
-                for (key, meta, off) in ft.index.range_entries(start, end) {
-                    let value = match meta_kind(meta) {
-                        EntryKind::Delete => None,
-                        EntryKind::Put => Some(read_record(&s.hier, ft.base, off as u64).value),
-                    };
-                    run.push((key, meta, value));
-                }
-                if !run.is_empty() {
-                    sources.push(ScanSource::Mem(run.into_iter()));
-                }
+                let (entries, horizon) = ft.index.range_entries(lo, end, n, cut);
+                let run = entries
+                    .into_iter()
+                    .map(|(key, meta, off)| {
+                        let value = match meta_kind(meta) {
+                            EntryKind::Delete => None,
+                            EntryKind::Put => Some(read_record(&s.hier, ft.base, off as u64).value),
+                        };
+                        (key, meta, value)
+                    })
+                    .collect();
+                round.mem(run, horizon);
             }
+            // The segments are disjoint and ordered, so the global index
+            // is one source: walk the overlapped segments in order with
+            // one budget of `n` keys.
+            let mut run: Vec<VersionedEntry> = Vec::new();
+            let mut horizon = None;
             for seg in m.global.segments() {
-                if seg.max() < start || (!end.is_empty() && seg.min() >= end) {
+                if seg.max() < lo || (!end.is_empty() && seg.min() >= end) {
                     obs.scan_fence_skips.inc();
                     continue;
                 }
-                let mut run: Vec<VersionedEntry> = Vec::new();
-                for (key, meta, gen, off) in seg.entries_from(start) {
-                    if !end.is_empty() && key.as_slice() >= end {
-                        break;
-                    }
+                if run.len() == n {
+                    horizon = Some(seg.min().to_vec());
+                    break;
+                }
+                let (entries, seg_horizon) = seg.range(lo, end, n - run.len(), cut);
+                for (key, meta, gen, off) in entries {
                     let value = match meta_kind(meta) {
                         EntryKind::Delete => None,
                         EntryKind::Put => {
@@ -1117,41 +1163,28 @@ impl CacheKv {
                     };
                     run.push((key, meta, value));
                 }
-                if !run.is_empty() {
-                    sources.push(ScanSource::Mem(run.into_iter()));
+                if seg_horizon.is_some() {
+                    horizon = seg_horizon;
+                    break;
                 }
             }
+            round.mem(run, horizon);
         }
 
-        // 3. LSM tables, Arc-pinned by the version captured before the cut.
+        // 3. LSM tables, Arc-pinned by the version captured before the
+        // cut, fence-checked against what this round may emit.
         for level in &version.levels {
             for table in level {
-                if table.meta.largest.as_slice() < start
-                    || (!end.is_empty() && table.meta.smallest.as_slice() >= end)
+                let bound = round.bound();
+                if table.meta.largest.as_slice() < lo
+                    || (!bound.is_empty() && table.meta.smallest.as_slice() >= bound)
                 {
                     obs.scan_fence_skips.inc();
                     continue;
                 }
-                sources.push(ScanSource::Table(table.iter_from_owned(start)));
+                round.table(table.iter_from_owned(lo));
             }
         }
-
-        // Validate before merging: if a version-dropping swap landed since
-        // the pin, some source may have lost the newest-at-or-below-cut
-        // version of a key and the whole capture is suspect. The memory
-        // runs are already private copies and the pinned sstables are
-        // immutable, so a *clean* capture stays trustworthy for however
-        // long the merge below takes.
-        if s.drop_epoch.load(Ordering::SeqCst) != epoch
-            || !Arc::ptr_eq(&version, &s.storage.versions().current())
-        {
-            return None;
-        }
-        Some(
-            MergedCursor::new(start, end, snapshot_seq, sources)
-                .take(limit)
-                .collect(),
-        )
     }
 }
 
@@ -1214,23 +1247,26 @@ fn probe_table(
     (best, lag_tail)
 }
 
-/// Read-only range capture of one (active or sealing) sub-MemTable: every
-/// in-range version from the indexed prefix plus a decode-scan of the
-/// unindexed suffix `[list tail, table tail)`, values copied out, sorted
-/// into internal order. The caller pins the table (publish read guard or
-/// `mem` lock) for the duration — the same discipline as [`probe_table`].
+/// Read-only range capture of one (active or sealing) sub-MemTable into
+/// `round`: the round's bounded share of the indexed prefix plus a
+/// decode-scan of the whole unindexed suffix `[list tail, table tail)`
+/// (short: LIU lag bounds it), values copied out, in internal order, cut
+/// back to `round.n` keys. The caller pins the table (publish read guard
+/// or `mem` lock) for the duration — the same discipline as
+/// [`probe_table`].
 fn scan_table_range(
     s: &Shared,
     st: &SubTable,
     index: &SubIndex,
-    start: &[u8],
-    end: &[u8],
+    round: &mut Round,
     scratch: &mut Vec<u8>,
-) -> Vec<VersionedEntry> {
+) {
+    let (lo, end, n, cut) = (round.lo, round.end, round.n, round.cut);
     let (_, synced_tail) = index.counters();
     let tail = st.header().tail();
-    let mut run: Vec<VersionedEntry> = Vec::new();
-    for (key, meta, off) in index.range_entries(start, end) {
+    let (entries, mut horizon) = index.range_entries(lo, end, n, cut);
+    let mut run: Vec<VersionedEntry> = Vec::with_capacity(entries.len());
+    for (key, meta, off) in entries {
         let value = match meta_kind(meta) {
             EntryKind::Delete => None,
             // `try_read_record`, not `read_record`: under a racing recycle
@@ -1248,7 +1284,10 @@ fn scan_table_range(
         let mut pos = 0usize;
         while let Some((e, next)) = decode_record_at(raw, pos) {
             pos = next;
-            if e.key.as_slice() < start || (!end.is_empty() && e.key.as_slice() >= end) {
+            if e.key.as_slice() < lo
+                || (!end.is_empty() && e.key.as_slice() >= end)
+                || meta_seq(e.meta) > cut
+            {
                 continue;
             }
             let value = match meta_kind(e.meta) {
@@ -1258,10 +1297,23 @@ fn scan_table_range(
             run.push((e.key, e.meta, value));
         }
         // The suffix arrives in append order; the merge heap needs each
-        // source in internal order.
+        // source in internal order, newest version per key only.
         run.sort_by(|a, b| internal_cmp(&a.0, a.1, &b.0, b.1));
+        let copied = run.len();
+        run.dedup_by(|later, kept| later.0 == kept.0);
+        // Suffix keys may crowd past the indexed share: keep `n` keys and
+        // let the first one dropped bound the horizon.
+        if run.len() > n {
+            let first_dropped = run[n].0.clone();
+            run.truncate(n);
+            if horizon.as_ref().is_none_or(|h| first_dropped < *h) {
+                horizon = Some(first_dropped);
+            }
+        }
+        // `mem` counts what survives; the copies dropped here count too.
+        round.captured += copied - run.len();
     }
-    run
+    round.mem(run, horizon);
 }
 
 impl Drop for CacheKv {

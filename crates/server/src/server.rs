@@ -756,6 +756,19 @@ pub(crate) fn dispatch(
                 reply.send(id, &Response::Busy);
                 return;
             }
+            // A zero limit asks for nothing: the empty page is the whole
+            // answer, and claiming `more` would send a client that
+            // follows it round forever without a resume key.
+            if limit == 0 {
+                reply.send(
+                    id,
+                    &Response::Scan {
+                        items: Vec::new(),
+                        more: false,
+                    },
+                );
+                return;
+            }
             let started = Instant::now();
             // Scans are reads: serve inline like GETs, off each shard's
             // contention-free scan path. Shard routing hashes keys, so a

@@ -394,6 +394,10 @@ fn scan_merges_shards_and_pages_match_one_shot() {
     // Inverted and empty ranges come back empty, not as errors.
     let (empty, more) = c.scan(&skey(200), &skey(100), 100, None).unwrap();
     assert!(empty.is_empty() && !more);
+    // A zero limit is an empty, final page — not an empty page that
+    // claims `more` over a range that holds keys.
+    let (empty, more) = c.scan(b"", b"", 0, None).unwrap();
+    assert!(empty.is_empty() && !more, "limit 0 must not claim more");
 
     let obs = server.obs();
     assert!(obs.scans.get() >= 3);

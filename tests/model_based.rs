@@ -128,20 +128,74 @@ fn check_against_model(store: &dyn KvStore, ops: &[Op], vlen: usize) {
     }
 }
 
+/// Tiny sub-MemTables: rotations, flushes, and L0 dumps all trigger.
+fn tiny_cfg() -> CacheKvConfig {
+    CacheKvConfig {
+        pool_bytes: 64 << 10,
+        subtable_bytes: 8 << 10,
+        min_subtable_bytes: 4 << 10,
+        dump_threshold_bytes: 32 << 10,
+        ..CacheKvConfig::test_small()
+    }
+}
+
+/// Limited scans from every start in `starts`, with and without an end.
+fn scans_from(starts: impl Iterator<Item = u16>, limits: &[u8]) -> Vec<Op> {
+    starts
+        .flat_map(|lo| {
+            limits
+                .iter()
+                .flat_map(move |&n| [Op::Scan(lo, None, n), Op::Scan(lo, Some(lo + 60), n)])
+        })
+        .collect()
+}
+
+/// A run of tombstones longer than any scan limit, in a newer source than
+/// the puts it deletes: a limited scan over it is cut short by the
+/// tombstone source's horizon and must take several capture rounds.
+#[test]
+fn cachekv_scans_across_a_tombstone_run_longer_than_the_limit() {
+    let mut ops: Vec<Op> = (0..200).map(|k| Op::Put(k, k as u8)).collect();
+    ops.extend((20..150).map(Op::Delete));
+    ops.extend(scans_from((0..40).step_by(3), &[1, 5, 19]));
+    // Push the tombstones down through flushes and SC, then scan again.
+    ops.extend((200..300).flat_map(|k| [Op::Put(k, 1), Op::Put(k, 2), Op::Put(k, 3)]));
+    ops.extend(scans_from((0..40).step_by(3), &[1, 5, 19]));
+    let db = CacheKv::create(hier(), tiny_cfg());
+    check_against_model(&db, &ops, 48);
+    let c = &db.snapshot().memory.counters;
+    assert!(
+        c["core.scan.rounds"] > c["core.scans"],
+        "no scan took a second capture round"
+    );
+}
+
+/// One key overwritten more times than any scan limit, with filler puts
+/// in between so its versions spread over flushed tables, the global
+/// index and the LSM: each source resolves it to one version.
+#[test]
+fn cachekv_scans_a_key_overwritten_more_times_than_the_limit() {
+    let mut ops = Vec::new();
+    for round in 0..40u16 {
+        ops.push(Op::Put(100, round as u8));
+        ops.extend((0..30).map(|i| Op::Put((round * 7 + i * 11) % 300, i as u8)));
+        if round % 8 == 7 {
+            ops.extend(scans_from(95..102, &[1, 3, 19]));
+        }
+    }
+    ops.extend(scans_from(95..102, &[1, 3, 19]));
+    let db = CacheKv::create(hier(), tiny_cfg());
+    check_against_model(&db, &ops, 48);
+    let c = &db.snapshot().memory.counters;
+    assert!(c["core.flushes"] > 0 && c["core.sc.merges"] > 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     #[test]
     fn cachekv_matches_model(ops in prop::collection::vec(op_strategy(), 1..800)) {
-        // Tiny sub-MemTables: rotations, flushes, and L0 dumps all trigger.
-        let cfg = CacheKvConfig {
-            pool_bytes: 64 << 10,
-            subtable_bytes: 8 << 10,
-            min_subtable_bytes: 4 << 10,
-            dump_threshold_bytes: 32 << 10,
-            ..CacheKvConfig::test_small()
-        };
-        let db = CacheKv::create(hier(), cfg);
+        let db = CacheKv::create(hier(), tiny_cfg());
         check_against_model(&db, &ops, 48);
     }
 
@@ -173,13 +227,7 @@ proptest! {
         crash_at in 0usize..400,
     ) {
         let h = hier();
-        let cfg = CacheKvConfig {
-            pool_bytes: 64 << 10,
-            subtable_bytes: 8 << 10,
-            min_subtable_bytes: 4 << 10,
-            dump_threshold_bytes: 32 << 10,
-            ..CacheKvConfig::test_small()
-        };
+        let cfg = tiny_cfg();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         let crash_at = crash_at.min(ops.len());
         {

@@ -91,6 +91,9 @@ fn scans_stay_consistent_and_lock_free_across_seal_flush_compact() {
             let done = done.clone();
             s.spawn(move || {
                 const WIDTH: usize = 16;
+                // Small limits cut sources short, so scans take several
+                // capture rounds while SC folds and L0 dumps race them.
+                const LIMITS: [usize; 6] = [1, 3, 7, WIDTH / 2, usize::MAX, usize::MAX];
                 let mut iter = r; // stagger readers across the key space
                 while !done.load(Ordering::SeqCst) {
                     let lo = (iter * 7) % KEYS;
@@ -101,7 +104,7 @@ fn scans_stay_consistent_and_lock_free_across_seal_flush_compact() {
                     let lbs: Vec<u64> = (lo..hi)
                         .map(|k| watermark[k].load(Ordering::SeqCst))
                         .collect();
-                    let limit = if iter % 4 == 0 { WIDTH / 2 } else { usize::MAX };
+                    let limit = LIMITS[iter % LIMITS.len()];
                     let got = db.scan(&key(lo), &key(hi), limit).expect("reader scan");
                     assert!(got.len() <= limit, "limit overshot");
 
@@ -139,24 +142,31 @@ fn scans_stay_consistent_and_lock_free_across_seal_flush_compact() {
                         }
                     }
                     // Freshness: an even key whose put committed must be in
-                    // an unbounded scan of its range.
-                    if limit == usize::MAX {
-                        let present: Vec<usize> = got.iter().map(|(k, _)| idx_of(k)).collect();
-                        for k in (lo..hi).filter(|k| k % 2 == 0) {
-                            if lbs[k - lo] != 0 {
-                                assert!(present.contains(&k), "committed key {k} missing");
-                            }
-                        }
-                        // Snapshot consistency: the writer commits rounds in
-                        // ascending key order, so one snapshot shows a
-                        // non-increasing round sequence spanning at most
-                        // two adjacent rounds over the even keys.
-                        for w in even_rounds.windows(2) {
+                    // the scan — anywhere in the range when the limit did
+                    // not bind, else up to the last key returned (a scan
+                    // that skips a key across a round boundary fails here).
+                    let present: Vec<usize> = got.iter().map(|(k, _)| idx_of(k)).collect();
+                    let covered = match present.last() {
+                        Some(&last) if got.len() == limit => last + 1,
+                        _ => hi,
+                    };
+                    for k in (lo..covered).filter(|k| k % 2 == 0) {
+                        if lbs[k - lo] != 0 {
                             assert!(
-                                w[0] >= w[1] && w[0] - w[1] <= 1,
-                                "torn snapshot: even-key rounds {even_rounds:?}"
+                                present.contains(&k),
+                                "committed key {k} missing (limit {limit})"
                             );
                         }
+                    }
+                    // Snapshot consistency: the writer commits rounds in
+                    // ascending key order, so one snapshot — limited or
+                    // not — shows a non-increasing round sequence spanning
+                    // at most two adjacent rounds over the even keys.
+                    for w in even_rounds.windows(2) {
+                        assert!(
+                            w[0] >= w[1] && w[0] - w[1] <= 1,
+                            "torn snapshot (limit {limit}): even-key rounds {even_rounds:?}"
+                        );
                     }
                     iter += 1;
                 }
@@ -198,8 +208,61 @@ fn scans_stay_consistent_and_lock_free_across_seal_flush_compact() {
     assert!(c["core.scan.items"] > 0, "scans returned items");
     assert!(c["core.seals"] > 0, "lifecycle reached sealing");
     assert!(c["core.flushes"] > 0, "lifecycle reached flushing");
+    // Small limits made scans cross round boundaries, and version drops
+    // landed mid-scan: the path under test really ran.
+    assert!(
+        c["core.scan.rounds"] > c["core.scans"],
+        "no scan took a second capture round"
+    );
+    assert!(c["core.scan.retries"] > 0, "no scan raced a version drop");
     // The tentpole claim: no scan ever acquired a CoreSlot mutex.
     assert_eq!(c["core.read.core_lock_acquisitions"], 0);
+}
+
+/// A scan copies about what it returns. With the population folded into a
+/// global index of several segments, a limit-10 scan — with an end key or
+/// without one — copies at most 10 versions per memory source, plus the
+/// active tables' unindexed suffix, which every scan decodes whole (zero
+/// here: the active tables hold only keys below the scanned range) — not
+/// every overlapped entry up to the end key or the end of the key space
+/// (200 and 2 000 versions here).
+#[test]
+fn limited_scan_copies_what_it_returns() {
+    const N: usize = 4_000;
+    let cfg = CacheKvConfig {
+        dump_threshold_bytes: 4 << 20,
+        hk_backpressure_bytes: 16 << 20,
+        ..CacheKvConfig::test_small()
+    };
+    let hier = Arc::new(Hierarchy::new(device(), CacheConfig::paper()));
+    let db = CacheKv::create(hier, cfg.clone());
+    // Descending, so the still-active tables hold the lowest keys, below
+    // every scan here: what the scans copy comes from the global index.
+    for i in (0..N).rev() {
+        db.put(&key(i), &value(i, 1)).unwrap();
+    }
+    db.quiesce();
+    assert!(db.segment_fences().len() >= 3, "global index has segments");
+
+    let (sealing, flushed, _, _) = db.memory_stats();
+    let memory_sources = cfg.num_cores + sealing + flushed + 1;
+    let counter = |name: &str| db.snapshot().memory.counters[name];
+    for end in [key(2_200), Vec::new()] {
+        let (copied0, rounds0) = (counter("core.scan.captured"), counter("core.scan.rounds"));
+        let got = db.scan(&key(2_000), &end, 10).unwrap();
+        let want: Vec<_> = (2_000..2_010).map(|i| (key(i), value(i, 1))).collect();
+        assert_eq!(got, want);
+        let copied = counter("core.scan.captured") - copied0;
+        assert!(
+            copied <= 10 * memory_sources as u64,
+            "end {end:?}: copied {copied} versions for 10 items ({memory_sources} memory sources)"
+        );
+        assert_eq!(
+            counter("core.scan.rounds") - rounds0,
+            1,
+            "one round suffices"
+        );
+    }
 }
 
 /// Deterministic lifecycle sweep: the same scan answer must come back at
