@@ -64,32 +64,14 @@ serve:
 bench:
 	$(CARGO) bench --workspace
 
-# Scaled-down figure run that must emit a parseable metrics artifact
-# (target/metrics/fig10_write_throughput.json) covering every system.
+# Scaled-down figure runs that must each emit a parseable metrics artifact
+# (target/metrics/<fig>.json) passing validate_metrics.
+SMOKE_FIGS := fig10_write_throughput fig11_read_throughput fig_scan
+METRICS_DIR := $(CURDIR)/target/metrics
 bench-smoke:
-	CACHEKV_OPS=2000 CACHEKV_METRICS_DIR=$(CURDIR)/target/metrics \
-		$(CARGO) bench -p cachekv-bench --bench fig10_write_throughput
-	CACHEKV_OPS=2000 CACHEKV_METRICS_DIR=$(CURDIR)/target/metrics \
-		$(CARGO) bench -p cachekv-bench --bench fig11_read_throughput
-	CACHEKV_OPS=2000 CACHEKV_METRICS_DIR=$(CURDIR)/target/metrics \
-		$(CARGO) bench -p cachekv-bench --bench server_loopback
-	CACHEKV_OPS=2000 CACHEKV_METRICS_DIR=$(CURDIR)/target/metrics \
-		$(CARGO) bench -p cachekv-bench --bench fig_scan
-	CACHEKV_OPS=2000 CACHEKV_METRICS_DIR=$(CURDIR)/target/metrics \
-		CACHEKV_AB_DIR=$(CURDIR)/target/metrics \
-		$(CARGO) bench -p cachekv-bench --bench server_cache
-	CACHEKV_OPS=2000 CACHEKV_METRICS_DIR=$(CURDIR)/target/metrics \
-		CACHEKV_AB_DIR=$(CURDIR)/target/metrics \
-		$(CARGO) bench -p cachekv-bench --bench write_ab
-	CACHEKV_OPS=2000 CACHEKV_METRICS_DIR=$(CURDIR)/target/metrics \
-		CACHEKV_AB_DIR=$(CURDIR)/target/metrics \
-		$(CARGO) bench -p cachekv-bench --bench server_repl
-	CACHEKV_METRICS_DIR=$(CURDIR)/target/metrics \
-		$(CARGO) run -q -p cachekv-bench --bin validate_metrics -- \
-		$(CURDIR)/target/metrics/fig10_write_throughput.json \
-		$(CURDIR)/target/metrics/fig11_read_throughput.json \
-		$(CURDIR)/target/metrics/server_loopback.json \
-		$(CURDIR)/target/metrics/fig_scan.json \
-		$(CURDIR)/target/metrics/server_cache.json \
-		$(CURDIR)/target/metrics/write_ab.json \
-		$(CURDIR)/target/metrics/server_repl.json
+	for fig in $(SMOKE_FIGS); do \
+		CACHEKV_OPS=2000 CACHEKV_METRICS_DIR=$(METRICS_DIR) \
+			$(CARGO) bench -p cachekv-bench --bench $$fig || exit 1; \
+	done
+	$(CARGO) run -q -p cachekv-bench --bin validate_metrics -- \
+		$(SMOKE_FIGS:%=$(METRICS_DIR)/%.json)

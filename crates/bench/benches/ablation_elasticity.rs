@@ -7,7 +7,7 @@
 //! slot turnover.
 
 use cachekv::{CacheKv, CacheKvConfig};
-use cachekv_bench::{banner, bench_storage, fresh_hierarchy, row, BenchScale};
+use cachekv_bench::{banner, fresh_hierarchy, row, BenchScale};
 use cachekv_lsm::KvStore;
 use cachekv_workloads::{run_ops, DbBench, KeyGen, ValueGen};
 use std::sync::Arc;
@@ -20,7 +20,6 @@ fn run(miss_threshold: u64, scale: &BenchScale) -> (f64, usize) {
         min_subtable_bytes: 32 << 10,
         flush_threads: 2,
         miss_threshold,
-        storage: bench_storage(),
         ..CacheKvConfig::default()
     };
     let db = Arc::new(CacheKv::create(hier, cfg));

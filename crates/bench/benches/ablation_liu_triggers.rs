@@ -3,7 +3,7 @@
 //! index-sync work a read must absorb.
 
 use cachekv::{CacheKv, CacheKvConfig};
-use cachekv_bench::{banner, bench_storage, fresh_hierarchy, row, BenchScale};
+use cachekv_bench::{banner, fresh_hierarchy, row, BenchScale};
 use cachekv_lsm::KvStore;
 use cachekv_workloads::{run_ops, DbBench, KeyGen, ValueGen};
 use std::sync::Arc;
@@ -25,7 +25,6 @@ fn main() {
         let hier = fresh_hierarchy();
         let cfg = CacheKvConfig {
             sync_every,
-            storage: bench_storage(),
             ..CacheKvConfig::default()
         };
         let db = Arc::new(CacheKv::create(hier, cfg));

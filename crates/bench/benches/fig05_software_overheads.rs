@@ -8,9 +8,8 @@
 
 use cachekv_baselines::BaselineOptions;
 use cachekv_baselines::NoveLsm;
-use cachekv_bench::{
-    banner, bench_storage, build, fresh_hierarchy, row, BenchScale, MetricsSink, SystemKind,
-};
+use cachekv_bench::{banner, build, fresh_hierarchy, row, BenchScale, MetricsSink, SystemKind};
+use cachekv_lsm::StorageConfig;
 use cachekv_workloads::{run_ops, DbBench, KeyGen, ValueGen};
 use std::sync::Arc;
 
@@ -67,7 +66,7 @@ fn main() {
         let db = Arc::new(NoveLsm::new(
             hier,
             BaselineOptions::cache().with_memtable_bytes(scale.memtable_bytes),
-            bench_storage(),
+            StorageConfig::default(),
         ));
         let store: Arc<dyn cachekv_lsm::KvStore> = db.clone();
         run_ops(

@@ -37,32 +37,12 @@ fn validate(path: &std::path::Path) {
     let mut fence_skips = 0u64;
     let mut bloom_skips = 0u64;
     let mut lsm_short_circuits = 0u64;
-    // Aggregated housekeeping counters (write_ab must prove the scheduler
-    // actually carried the maintenance work off the put path).
-    let mut hk_rounds = 0u64;
-    let mut sc_merges = 0u64;
-    let mut sc_merge_bytes = 0u64;
-    // Aggregated service-layer counters (server artifacts must prove the
-    // group-commit pipeline actually carried the workload).
-    let mut server_requests = 0u64;
-    let mut server_commits = 0u64;
-    let mut server_labels = 0usize;
     // Aggregated range-scan counters (scan artifacts must prove the merged
     // cursor actually ran, both engine-side and over the wire).
     let mut core_scans = 0u64;
     let mut core_scan_items = 0u64;
     let mut server_scans = 0u64;
     let mut server_scan_items = 0u64;
-    // Hot-key cache A/B accounting (cache artifacts must prove the enabled
-    // arm hit and the disabled arm stayed exactly cold).
-    let mut cache_on_hits = 0u64;
-    let mut cache_on_labels = 0usize;
-    let mut cache_off_labels = 0usize;
-    // Replication A/B accounting (repl artifacts must prove rounds really
-    // shipped and the sync arm really waited for quorum).
-    let mut repl_rounds_shipped = 0u64;
-    let mut repl_sync_quorum_acks = 0u64;
-    let mut repl_sync_labels = 0usize;
     for (label, entry) in systems {
         // Every entry must be a full StatsSnapshot document.
         let snap = StatsSnapshot::from_json(entry)
@@ -101,23 +81,6 @@ fn validate(path: &std::path::Path) {
                 ));
             }
         }
-        let label_cache_hits = snap
-            .memory
-            .counters
-            .get("server.cache.hits")
-            .copied()
-            .unwrap_or(0);
-        if label.contains("cache-on") {
-            cache_on_labels += 1;
-            cache_on_hits += label_cache_hits;
-        } else if label.contains("cache-off") {
-            cache_off_labels += 1;
-            if label_cache_hits != 0 {
-                fail(&format!(
-                    "{label}: disabled cache reported {label_cache_hits} hits (must be 0)"
-                ));
-            }
-        }
         // Replication ordering tripwire: any snapshot carrying it must
         // report zero — a nonzero count means a round arrived out of
         // order (gap) on the follower or the shipping invariants broke.
@@ -127,21 +90,6 @@ fn validate(path: &std::path::Path) {
                     "{label}: replication tripwire fired {trip} times (must be 0)"
                 ));
             }
-        }
-        repl_rounds_shipped += snap
-            .memory
-            .counters
-            .get("server.repl.rounds_shipped")
-            .copied()
-            .unwrap_or(0);
-        if label.contains("repl-sync") {
-            repl_sync_labels += 1;
-            repl_sync_quorum_acks += snap
-                .memory
-                .counters
-                .get("server.repl.quorum_acks")
-                .copied()
-                .unwrap_or(0);
         }
         // Off-path housekeeping tripwire: a put must never execute a
         // compaction merge inline.
@@ -157,9 +105,6 @@ fn validate(path: &std::path::Path) {
             ("core.read.fence_skips", &mut fence_skips),
             ("core.read.bloom_skips", &mut bloom_skips),
             ("core.read.lsm_short_circuits", &mut lsm_short_circuits),
-            ("core.housekeeping.rounds", &mut hk_rounds),
-            ("core.sc.merges", &mut sc_merges),
-            ("core.sc.merge_bytes", &mut sc_merge_bytes),
             ("core.scans", &mut core_scans),
             ("core.scan.items", &mut core_scan_items),
             ("server.scans", &mut server_scans),
@@ -239,28 +184,16 @@ fn validate(path: &std::path::Path) {
                 ));
             }
         }
-        // Server-merged snapshots must carry the full service-layer
-        // instrument set: per-op latency histograms with samples, the
-        // group-commit batch-size and queue-depth distributions, and the
-        // live queue-depth gauge.
-        // Follower servers serve no client traffic of their own (writes
-        // are refused until promotion), so the per-op histogram checks
-        // below would trivially fail; their replication counters are
-        // gated separately.
-        if snap.system.ends_with("-server") && !label.contains("follower") {
-            server_labels += 1;
-            server_requests += snap
-                .memory
-                .counters
-                .get("server.requests")
-                .copied()
-                .unwrap_or(0);
-            server_commits += snap
-                .memory
-                .counters
-                .get("server.group_commit.commits")
-                .copied()
-                .unwrap_or(0);
+        // Server-merged snapshots must have served traffic through group
+        // commit and carry the full service-layer instrument set: per-op
+        // latency histograms with samples, the group-commit batch-size and
+        // queue-depth distributions, and the live queue-depth gauge.
+        if snap.system.ends_with("-server") {
+            for key in ["server.requests", "server.group_commit.commits"] {
+                if snap.memory.counters.get(key).copied().unwrap_or(0) == 0 {
+                    fail(&format!("{label}: {key} is zero"));
+                }
+            }
             for key in [
                 "server.get_ns",
                 "server.put_ns",
@@ -298,21 +231,6 @@ fn validate(path: &std::path::Path) {
             }
         }
     }
-    // The A/B write artifact must prove the off-path scheduler carried the
-    // maintenance: rounds ran, segments merged, and bytes were accounted.
-    if fig.contains("write_ab") {
-        for (name, total) in [
-            ("core.housekeeping.rounds", hk_rounds),
-            ("core.sc.merges", sc_merges),
-            ("core.sc.merge_bytes", sc_merge_bytes),
-        ] {
-            if total == 0 {
-                fail(&format!(
-                    "write_ab figure: {name} never fired across labels"
-                ));
-            }
-        }
-    }
     // Write figures must carry put-tail measurements, not just snapshots.
     if fig.contains("write") {
         let measurements = doc
@@ -345,44 +263,6 @@ fn validate(path: &std::path::Path) {
             if total == 0 {
                 fail(&format!("scan figure: {name} never fired across labels"));
             }
-        }
-    }
-    // Cache A/B artifacts must carry both arms, with the Zipfian phase
-    // actually hitting on the enabled arm (the disabled arm's exact-zero
-    // check ran per-label above).
-    if fig.contains("cache") {
-        if cache_on_labels == 0 || cache_off_labels == 0 {
-            fail("cache figure: missing cache-on and/or cache-off labels");
-        }
-        if cache_on_hits == 0 {
-            fail("cache figure: server.cache.hits is zero across cache-on labels");
-        }
-    }
-    // Replication A/B artifacts must prove the log actually shipped and
-    // that the sync arm's acks were quorum acks (the per-label tripwire
-    // zero check ran above).
-    if fig.contains("repl") {
-        if repl_rounds_shipped == 0 {
-            fail("repl figure: server.repl.rounds_shipped is zero across labels");
-        }
-        if repl_sync_labels == 0 {
-            fail("repl figure: no repl-sync label recorded");
-        }
-        if repl_sync_quorum_acks == 0 {
-            fail("repl figure: server.repl.quorum_acks is zero across repl-sync labels");
-        }
-    }
-    // Server artifacts must contain at least one merged server snapshot
-    // that actually served traffic through group commit.
-    if fig.contains("server") {
-        if server_labels == 0 {
-            fail("server figure: no label carries a *-server merged snapshot");
-        }
-        if server_requests == 0 {
-            fail("server figure: server.requests is zero across labels");
-        }
-        if server_commits == 0 {
-            fail("server figure: server.group_commit.commits is zero across labels");
         }
     }
     println!(

@@ -263,11 +263,6 @@ pub fn fresh_hierarchy_with_cache(cache_bytes: usize) -> Arc<Hierarchy> {
     ))
 }
 
-/// Storage component configuration used by every system in the benches.
-pub fn bench_storage() -> StorageConfig {
-    StorageConfig::default()
-}
-
 /// Build one system at the given scale.
 pub fn build(kind: SystemKind, scale: &BenchScale) -> Instance {
     build_with(kind, scale, 1)
@@ -298,7 +293,6 @@ pub fn build_on(
                 subtable_bytes: scale.subtable_bytes,
                 flush_threads,
                 techniques,
-                storage: bench_storage(),
                 // The paper's testbed exposes 24 cores per socket.
                 num_cores: 24,
                 ..CacheKvConfig::default()
@@ -308,17 +302,17 @@ pub fn build_on(
         SystemKind::NoveLsm => Arc::new(NoveLsm::new(
             hier.clone(),
             BaselineOptions::vanilla().with_memtable_bytes(scale.memtable_bytes),
-            bench_storage(),
+            StorageConfig::default(),
         )),
         SystemKind::NoveLsmNoFlush => Arc::new(NoveLsm::new(
             hier.clone(),
             BaselineOptions::without_flush().with_memtable_bytes(scale.memtable_bytes),
-            bench_storage(),
+            StorageConfig::default(),
         )),
         SystemKind::NoveLsmCache => Arc::new(NoveLsm::new(
             hier.clone(),
             BaselineOptions::cache().with_memtable_bytes(scale.memtable_bytes),
-            bench_storage(),
+            StorageConfig::default(),
         )),
         SystemKind::SlmDb => Arc::new(SlmDb::new(
             hier.clone(),
@@ -338,7 +332,7 @@ pub fn build_on(
             hier.clone(),
             LsmConfig {
                 memtable_bytes: scale.memtable_bytes,
-                storage: bench_storage(),
+                ..LsmConfig::default()
             },
         )),
     };

@@ -73,7 +73,8 @@ pub struct CacheKvConfig {
     /// it and absorb neighbours below half of it.
     pub sc_segment_target_entries: usize,
     /// Fold every segment on every SC round (the monolithic-compaction
-    /// baseline, kept for A/B benchmarking — `false` for the real system).
+    /// mode: a deterministic recovery fold and a negative control in the
+    /// compaction tests — `false` for the real system).
     pub sc_full_fold: bool,
     /// Stall writers at a seal once flushed-but-undumped bytes exceed this
     /// watermark, until a dump catches up (0 disables). The only sanctioned
@@ -235,7 +236,7 @@ mod tests {
         let c = CacheKvConfig::default();
         assert!(c.housekeeping_threads >= 1);
         assert!(c.housekeeping_queue_cap >= c.housekeeping_threads);
-        assert!(!c.sc_full_fold, "full fold is a benchmark baseline only");
+        assert!(!c.sc_full_fold, "full fold is a test-only mode");
         assert!(
             c.hk_backpressure_bytes > c.dump_threshold_bytes,
             "watermark must sit above the dump threshold or puts stall before a dump can free anything"

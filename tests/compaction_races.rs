@@ -9,7 +9,8 @@
 //!   path stays lock-free (`core.read.core_lock_acquisitions` == 0).
 //! * **Incrementality**: once the index is partitioned, rounds driven by a
 //!   narrow hot range keep the untouched segments (`core.sc.segments_kept`
-//!   grows) instead of refolding the world.
+//!   grows) instead of refolding the world, so a round merges bytes in
+//!   proportion to the range it touches, not to the index size.
 //! * **Crash safety**: the segments are DRAM-only — the fault-injection
 //!   sweep still lands in both persistence contexts, and recovery from
 //!   identical media rebuilds byte-identical fences and bloom filters.
@@ -21,6 +22,7 @@ use cachekv::{CacheKv, CacheKvConfig};
 use cachekv_cache::{CacheConfig, Hierarchy};
 use cachekv_lsm::KvStore;
 use cachekv_pmem::{LatencyConfig, PersistDomain, PmemConfig, PmemDevice};
+use cachekv_workloads::{fill, KeyGen, ValueGen};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -173,6 +175,71 @@ fn hot_writers_race_readers_through_segment_split_merge_swap() {
     // never took a core lock.
     assert_eq!(c["core.housekeeping.inline_merges"], 0);
     assert_eq!(c["core.read.core_lock_acquisitions"], 0);
+}
+
+/// Mean bytes merged per SC round, and the global index size, after 10
+/// rounds of updates confined to 1 024 hot keys of a 20 000-key store.
+fn hot_range_merge_cost(full_fold: bool) -> (u64, u64) {
+    let cfg = CacheKvConfig {
+        subtable_bytes: 64 << 10,
+        min_subtable_bytes: 32 << 10,
+        flush_threads: 1,
+        num_cores: 24,
+        // Keep the whole index resident: no dump retires it mid-measure.
+        dump_threshold_bytes: 256 << 20,
+        hk_backpressure_bytes: 0,
+        sc_segment_target_entries: 2048,
+        sc_full_fold: full_fold,
+        ..CacheKvConfig::default()
+    };
+    let dev = device();
+    let db = Arc::new(CacheKv::create(hier(&dev), cfg));
+    let store: Arc<dyn KvStore> = db.clone();
+    let (wide, hot, rounds) = (20_000u64, 1_024u64, 10u64);
+    let key = KeyGen::paper();
+    let value = ValueGen::new(100);
+    fill(&store, wide, &key, &value);
+
+    let before = db.snapshot();
+    let mut kbuf = vec![0u8; key.width()];
+    let mut vbuf = Vec::new();
+    for r in 0..rounds {
+        for i in 0..hot {
+            // Fixed-stride permutation of the hot range, varied per round.
+            let id = (i * 389 + r * 17) % hot;
+            key.key_into(id, &mut kbuf);
+            value.value_into(id, &mut vbuf);
+            db.put(&kbuf, &vbuf).expect("hot put");
+        }
+    }
+    db.quiesce();
+    let after = db.snapshot();
+
+    let delta = |name: &str| after.memory.counters[name] - before.memory.counters[name];
+    let sc_rounds = delta("core.sc.merges");
+    let index_bytes = after.memory.gauges["core.sc.index_bytes"].max(0) as u64;
+    assert!(sc_rounds > 0, "hot phase never triggered an SC round");
+    assert!(index_bytes > 0, "index retired mid-measure");
+    (delta("core.sc.merge_bytes") / sc_rounds, index_bytes)
+}
+
+#[test]
+fn sc_round_cost_follows_the_touched_range_not_the_index() {
+    // The partitioned-index cost model: a round merges only the segments
+    // the hot range overlaps, so per-round merge bytes ≪ index size.
+    let (per_round, index_bytes) = hot_range_merge_cost(false);
+    assert!(
+        per_round < index_bytes / 2,
+        "SC round cost not proportional to touched range: \
+         {per_round} B/round vs {index_bytes} B index"
+    );
+    // Negative control: the full fold re-merges every segment each round,
+    // and the same bound must catch it.
+    let (per_round, index_bytes) = hot_range_merge_cost(true);
+    assert!(
+        per_round >= index_bytes / 2,
+        "full fold slipped under the bound: {per_round} B/round vs {index_bytes} B index"
+    );
 }
 
 #[test]
