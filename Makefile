@@ -2,15 +2,20 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt clippy build test sweep bench bench-smoke serve kvbench-quick kvbench-test kvbench-ab
+.PHONY: verify fmt clippy doc build test sweep bench bench-smoke serve kvbench-quick kvbench-test kvbench-ab
 
-verify: fmt clippy test sweep
+verify: fmt clippy doc test sweep
 
 fmt:
 	$(CARGO) fmt --all --check
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc with warnings denied: an intra-doc link to a renamed, deleted or
+# private item fails the build instead of dangling.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps --offline
 
 build:
 	$(CARGO) build --release

@@ -54,8 +54,8 @@
 //! committer walks all slabs at round publication — writes pay the
 //! fan-out, reads stay core-local.
 //!
-//! Admission (sampled frequency sketch) and eviction (CLOCK) are pluggable
-//! behind [`Admission`] / [`Eviction`]; each slab enforces a hard byte cap.
+//! Admission is a sampled frequency sketch ([`FreqSketch`], TinyLFU-style)
+//! and eviction is CLOCK; each slab enforces a hard byte cap.
 
 use crate::obs::ServerObs;
 use parking_lot::Mutex;
@@ -84,25 +84,6 @@ pub fn key_hash(key: &[u8]) -> u64 {
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Admission policy selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionKind {
-    /// Admit every fill (evict whatever CLOCK points at).
-    AdmitAll,
-    /// TinyLFU-style sampled frequency sketch: a fill displaces a victim
-    /// only if the candidate's estimated frequency exceeds the victim's.
-    Sketch,
-}
-
-/// Eviction policy selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictionKind {
-    /// CLOCK (second chance) over the slab's slot ring.
-    Clock,
-    /// Insertion-order FIFO (reference baseline; no recency signal).
-    Fifo,
-}
-
 /// Hot-cache tuning knobs (part of [`crate::ServerConfig`]).
 #[derive(Debug, Clone)]
 pub struct HotCacheConfig {
@@ -111,10 +92,6 @@ pub struct HotCacheConfig {
     pub capacity_bytes: usize,
     /// Per-core replica slabs. `0` = auto (available parallelism, max 8).
     pub replicas: usize,
-    /// Fill admission policy.
-    pub admission: AdmissionKind,
-    /// Slab eviction policy.
-    pub eviction: EvictionKind,
     /// Round-log slots per shard: how many group-commit rounds back an
     /// idle entry can be re-validated before coverage is lost and it is
     /// dropped. Minimum 8.
@@ -126,8 +103,6 @@ impl Default for HotCacheConfig {
         HotCacheConfig {
             capacity_bytes: 16 << 20,
             replicas: 0,
-            admission: AdmissionKind::Sketch,
-            eviction: EvictionKind::Clock,
             round_log_slots: 64,
         }
     }
@@ -142,7 +117,7 @@ impl HotCacheConfig {
         }
     }
 
-    /// Convenience: default policies at a given byte cap.
+    /// Convenience: the default configuration at a given byte cap.
     pub fn with_capacity(capacity_bytes: usize) -> Self {
         HotCacheConfig {
             capacity_bytes,
@@ -155,38 +130,10 @@ impl HotCacheConfig {
 // Admission
 // ---------------------------------------------------------------------------
 
-/// Fill-admission policy. Implementations must be cheap and thread-safe:
-/// `record` runs on every probe, `admit` on every fill that needs to evict.
-pub trait Admission: Send + Sync {
-    /// Note one access to `h` (sampled frequency signal).
-    fn record(&self, h: u64);
-    /// Estimated access frequency of `h`.
-    fn estimate(&self, h: u64) -> u32;
-    /// Should a fill of `cand` displace `victim`? `victim` is `None` when
-    /// the slab still has free space (always admit).
-    fn admit(&self, cand: u64, victim: Option<u64>) -> bool {
-        match victim {
-            None => true,
-            Some(v) => self.estimate(cand) > self.estimate(v),
-        }
-    }
-}
-
-/// Admit-everything policy.
-struct AdmitAll;
-
-impl Admission for AdmitAll {
-    fn record(&self, _h: u64) {}
-    fn estimate(&self, _h: u64) -> u32 {
-        0
-    }
-    fn admit(&self, _cand: u64, _victim: Option<u64>) -> bool {
-        true
-    }
-}
-
-/// A count-min sketch of 4-bit-equivalent saturating byte counters with
-/// periodic halving (TinyLFU's aging), shared lock-free across threads.
+/// Fill admission: a count-min sketch of 4-bit-equivalent saturating byte
+/// counters with periodic halving (TinyLFU's aging), shared lock-free
+/// across threads. `record` runs on every probe, `admit` on every fill
+/// that needs to evict.
 pub struct FreqSketch {
     rows: Vec<AtomicU8>,
     mask: usize,
@@ -226,10 +173,9 @@ impl FreqSketch {
             c.store(v >> 1, Ordering::Relaxed);
         }
     }
-}
 
-impl Admission for FreqSketch {
-    fn record(&self, h: u64) {
+    /// Note one access to `h` (sampled frequency signal).
+    pub fn record(&self, h: u64) {
         for row in 0..SKETCH_HASHES.len() {
             let c = &self.rows[self.idx(h, row)];
             // Saturating increment without wrap under races.
@@ -249,11 +195,22 @@ impl Admission for FreqSketch {
         }
     }
 
-    fn estimate(&self, h: u64) -> u32 {
+    /// Estimated access frequency of `h`.
+    pub fn estimate(&self, h: u64) -> u32 {
         (0..SKETCH_HASHES.len())
             .map(|row| self.rows[self.idx(h, row)].load(Ordering::Relaxed) as u32)
             .min()
             .unwrap_or(0)
+    }
+
+    /// Should a fill of `cand` displace `victim`? `victim` is `None` when
+    /// the slab still has free space (always admit); otherwise the
+    /// candidate must be estimated strictly more frequent.
+    pub fn admit(&self, cand: u64, victim: Option<u64>) -> bool {
+        match victim {
+            None => true,
+            Some(v) => self.estimate(cand) > self.estimate(v),
+        }
     }
 }
 
@@ -261,22 +218,9 @@ impl Admission for FreqSketch {
 // Eviction
 // ---------------------------------------------------------------------------
 
-/// Per-slab eviction policy. Called with the slab lock held; `slot`
-/// indices refer to the slab's entry ring.
-pub trait Eviction: Send {
-    /// A new entry landed in `slot`.
-    fn on_insert(&mut self, slot: usize);
-    /// The entry in `slot` was served (recency signal).
-    fn on_hit(&mut self, slot: usize);
-    /// The entry in `slot` was removed (invalidation, not eviction).
-    fn on_remove(&mut self, slot: usize);
-    /// Pick a victim among occupied slots (`occupied[i]` ⇔ slot `i` holds
-    /// an entry). Returns `None` only if nothing is occupied.
-    fn victim(&mut self, occupied: &[bool]) -> Option<usize>;
-}
-
 /// CLOCK: one reference bit per slot, a sweeping hand granting each
-/// referenced entry a second chance.
+/// referenced entry a second chance. Called with the slab lock held;
+/// `slot` indices refer to the slab's entry ring.
 struct ClockEviction {
     referenced: Vec<bool>,
     hand: usize,
@@ -295,24 +239,27 @@ impl ClockEviction {
             self.referenced.resize(slot + 1, false);
         }
     }
-}
 
-impl Eviction for ClockEviction {
+    /// A new entry landed in `slot`.
     fn on_insert(&mut self, slot: usize) {
         self.ensure(slot);
         self.referenced[slot] = false;
     }
 
+    /// The entry in `slot` was served (recency signal).
     fn on_hit(&mut self, slot: usize) {
         self.ensure(slot);
         self.referenced[slot] = true;
     }
 
+    /// The entry in `slot` was removed (invalidation or eviction).
     fn on_remove(&mut self, slot: usize) {
         self.ensure(slot);
         self.referenced[slot] = false;
     }
 
+    /// Pick a victim among occupied slots (`occupied[i]` ⇔ slot `i` holds
+    /// an entry). Returns `None` only if nothing is occupied.
     fn victim(&mut self, occupied: &[bool]) -> Option<usize> {
         if occupied.is_empty() {
             return None;
@@ -333,46 +280,6 @@ impl Eviction for ClockEviction {
             }
         }
         occupied.iter().position(|&o| o)
-    }
-}
-
-/// FIFO in insertion order.
-struct FifoEviction {
-    queue: std::collections::VecDeque<usize>,
-}
-
-impl Eviction for FifoEviction {
-    fn on_insert(&mut self, slot: usize) {
-        self.queue.push_back(slot);
-    }
-
-    fn on_hit(&mut self, _slot: usize) {}
-
-    fn on_remove(&mut self, slot: usize) {
-        self.queue.retain(|&s| s != slot);
-    }
-
-    fn victim(&mut self, occupied: &[bool]) -> Option<usize> {
-        // Peek without rotating: if the caller's admission gate declines
-        // the candidate, the victim must stay at the front so eviction
-        // keeps following insertion order. The slot leaves the queue in
-        // `on_remove` when an eviction actually happens.
-        while let Some(&s) = self.queue.front() {
-            if occupied.get(s).copied().unwrap_or(false) {
-                return Some(s);
-            }
-            self.queue.pop_front(); // stale slot id: discard
-        }
-        occupied.iter().position(|&o| o)
-    }
-}
-
-fn make_eviction(kind: EvictionKind) -> Box<dyn Eviction> {
-    match kind {
-        EvictionKind::Clock => Box::new(ClockEviction::new()),
-        EvictionKind::Fifo => Box::new(FifoEviction {
-            queue: Default::default(),
-        }),
     }
 }
 
@@ -498,11 +405,11 @@ struct Slab {
     occupied: Vec<bool>,
     bytes: usize,
     cap: usize,
-    evict: Box<dyn Eviction>,
+    evict: ClockEviction,
 }
 
 impl Slab {
-    fn new(cap: usize, eviction: EvictionKind) -> Self {
+    fn new(cap: usize) -> Self {
         Slab {
             map: HashMap::new(),
             slots: Vec::new(),
@@ -510,7 +417,7 @@ impl Slab {
             occupied: Vec::new(),
             bytes: 0,
             cap,
-            evict: make_eviction(eviction),
+            evict: ClockEviction::new(),
         }
     }
 
@@ -538,7 +445,7 @@ impl Slab {
     /// fill, `installed` is `false` but bytes already freed by earlier
     /// eviction-loop iterations are still reported in `delta_bytes` /
     /// `evictions` so the caller's gauges never drift from slab state.
-    fn install(&mut self, entry: Entry, admission: &dyn Admission) -> (bool, i64, u64) {
+    fn install(&mut self, entry: Entry, admission: &FreqSketch) -> (bool, i64, u64) {
         let need = entry.bytes();
         if need > self.cap {
             return (false, 0, 0);
@@ -586,7 +493,7 @@ impl Slab {
 
     /// Choose an eviction victim; with `gate = (admission, candidate)`
     /// the candidate must beat the victim's estimated frequency.
-    fn pick_victim(&mut self, gate: Option<(&dyn Admission, u64)>) -> Option<usize> {
+    fn pick_victim(&mut self, gate: Option<(&FreqSketch, u64)>) -> Option<usize> {
         let v = self.evict.victim(&self.occupied)?;
         if let Some((admission, cand)) = gate {
             let victim_hash = self.slots[v].as_ref().map(|e| e.hash);
@@ -633,7 +540,7 @@ pub struct RoundToken {
 pub struct HotCache {
     replicas: Vec<Mutex<Slab>>,
     shards: Vec<ShardClock>,
-    admission: Arc<dyn Admission>,
+    admission: FreqSketch,
     enabled: AtomicBool,
     obs: Arc<ServerObs>,
 }
@@ -675,16 +582,11 @@ impl HotCache {
             .capacity_bytes
             .checked_div(replicas)
             .map_or(0, |per| per.max(ENTRY_OVERHEAD * 4));
-        let admission: Arc<dyn Admission> = match cfg.admission {
-            AdmissionKind::AdmitAll => Arc::new(AdmitAll),
-            // Size the sketch to roughly the entry count the cap implies.
-            AdmissionKind::Sketch => Arc::new(FreqSketch::new(
-                (cfg.capacity_bytes / 256).clamp(1024, 1 << 20),
-            )),
-        };
+        // Size the sketch to roughly the entry count the cap implies.
+        let admission = FreqSketch::new((cfg.capacity_bytes / 256).clamp(1024, 1 << 20));
         Arc::new(HotCache {
             replicas: (0..replicas)
-                .map(|_| Mutex::new(Slab::new(per_slab, cfg.eviction)))
+                .map(|_| Mutex::new(Slab::new(per_slab)))
                 .collect(),
             shards: (0..num_shards)
                 .map(|_| ShardClock::new(cfg.round_log_slots.max(8)))
@@ -817,7 +719,7 @@ impl HotCache {
             shard: shard as u32,
             stamp: token.epoch,
         };
-        let (installed, delta, evictions) = slab.install(entry, &*self.admission);
+        let (installed, delta, evictions) = slab.install(entry, &self.admission);
         // Apply the accounting even when admission rejected the fill: the
         // eviction loop may have freed entries before the gate declined,
         // and those bytes must still leave the gauge.
@@ -932,13 +834,21 @@ mod tests {
             &HotCacheConfig {
                 capacity_bytes: cap,
                 replicas: 1,
-                admission: AdmissionKind::AdmitAll,
-                eviction: EvictionKind::Clock,
                 round_log_slots: 8,
             },
             1,
             obs,
         )
+    }
+
+    /// Probe `key` `heat` times (the last one misses), then fill it: the
+    /// sketch admits a fill over a victim only if it is probed more.
+    fn hot_fill(c: &HotCache, key: &[u8], val: &[u8], heat: usize) {
+        for _ in 1..heat {
+            let _ = c.probe(0, key);
+        }
+        let t = c.probe(0, key).unwrap_err();
+        c.fill(0, key, val, t);
     }
 
     fn put_round(c: &HotCache, key: &[u8], val: &[u8]) {
@@ -1010,10 +920,14 @@ mod tests {
     fn byte_cap_evicts() {
         let c = cache(3 * (ENTRY_OVERHEAD + 10));
         for i in 0..16u8 {
-            let k = [b'k', i];
-            let t = c.probe(0, &k).unwrap_err();
-            c.fill(0, &k, &[0u8; 8], t);
+            // Each key is hotter than every earlier one, so the sketch
+            // admits it over whichever victim CLOCK picks.
+            hot_fill(&c, &[b'k', i], &[0u8; 8], i as usize + 1);
         }
+        assert!(
+            c.obs.cache_evictions.get() > 0,
+            "cap never forced an eviction"
+        );
         assert!(c.bytes() <= 3 * (ENTRY_OVERHEAD + 10));
     }
 
@@ -1047,8 +961,9 @@ mod tests {
         let c = cache(cap);
         for i in 0..1000u32 {
             let k = format!("key{i}");
-            let t = c.probe(0, k.as_bytes()).unwrap_err();
-            c.fill(0, k.as_bytes(), &[0u8; 8], t);
+            // Heat climbs in runs of 32, so fills regularly beat a
+            // resident and go through the eviction loop.
+            hot_fill(&c, k.as_bytes(), &[0u8; 8], 1 + (i % 32) as usize);
             if i % 7 == 0 {
                 // Round-driven delete exercises the invalidation path's
                 // remove_slot as well as the eviction loop's.
@@ -1063,6 +978,7 @@ mod tests {
             slab.slots.len()
         );
         assert_eq!(slab.slots.len(), slab.occupied.len());
+        assert!(c.obs.cache_evictions.get() > 0, "churn never evicted");
         // (HotCache::new may round the per-slab cap up to a small floor.)
         assert!(slab.bytes <= slab.cap);
         // The obs gauge must track actual slab bytes exactly.
@@ -1078,8 +994,6 @@ mod tests {
             &HotCacheConfig {
                 capacity_bytes: 2 * (ENTRY_OVERHEAD + 2),
                 replicas: 1,
-                admission: AdmissionKind::Sketch,
-                eviction: EvictionKind::Clock,
                 round_log_slots: 8,
             },
             1,
@@ -1100,9 +1014,9 @@ mod tests {
     }
 
     #[test]
-    fn fifo_keeps_insertion_order_across_declined_admission() {
+    fn declined_admission_evicts_nothing() {
         let sketch = FreqSketch::new(256);
-        let mut slab = Slab::new(3 * (ENTRY_OVERHEAD + 2), EvictionKind::Fifo);
+        let mut slab = Slab::new(3 * (ENTRY_OVERHEAD + 2));
         let mk = |k: &[u8]| Entry {
             key: k.into(),
             value: b"v".as_slice().into(),
@@ -1116,20 +1030,21 @@ mod tests {
             }
             assert!(slab.install(mk(k), &sketch).0);
         }
-        // Cold candidate declined: must not rotate the FIFO queue, and no
-        // entry may have been evicted before the gate fired.
-        let (installed, _, evictions) = slab.install(mk(b"x"), &sketch);
+        // Cold candidate declined: the gate fires before any entry is
+        // evicted, so the slab is untouched and reports no eviction.
+        let (installed, delta, evictions) = slab.install(mk(b"x"), &sketch);
         assert!(!installed);
-        assert_eq!(evictions, 0);
-        // A hot candidate then evicts the *oldest* entry, proving the
-        // declined attempt did not disturb insertion order.
+        assert_eq!((delta, evictions), (0, 0));
+        for k in [b"a".as_slice(), b"b", b"c"] {
+            assert!(slab.slot_of(k).is_some(), "declined fill evicted an entry");
+        }
+        // A hot candidate then does evict exactly one entry.
         for _ in 0..20 {
             sketch.record(key_hash(b"y"));
         }
-        assert!(slab.install(mk(b"y"), &sketch).0);
-        assert!(slab.slot_of(b"a").is_none(), "oldest entry must go first");
-        assert!(slab.slot_of(b"b").is_some());
-        assert!(slab.slot_of(b"c").is_some());
+        let (installed, _, evictions) = slab.install(mk(b"y"), &sketch);
+        assert!(installed);
+        assert_eq!(evictions, 1);
     }
 
     #[test]

@@ -1,10 +1,28 @@
 //! Pipelined client for the CacheKV wire protocol.
 //!
-//! One [`KvClient`] owns one connection. Requests carry client-chosen ids;
-//! a background demux thread matches responses (which may arrive in any
-//! order) back to waiters, so any number of threads can share a client and
-//! keep many requests in flight — that is what makes group commit pay:
-//! the server folds concurrently in-flight writes into one commit round.
+//! [`KvClient`] is the one client type. Requests carry client-chosen ids;
+//! a demux thread per connection matches responses (in any order) back
+//! to waiters, so many threads can share a client and keep many requests
+//! in flight — which is what lets the server fold them into one group
+//! commit round.
+//!
+//! [`KvClient::connect`] wraps one fixed connection; [`KvClient::dial`]
+//! takes an endpoint list (a primary/follower pair, or one redialable
+//! address) and fails over along it. Every typed op runs through one
+//! bounded retry loop (six attempts, exponential backoff) whose rule
+//! follows from the op and from which step failed:
+//!
+//! | Outcome | Read (GET, SCAN, STATS, PING) | Write (PUT, DELETE, BATCH, PROMOTE) |
+//! |---|---|---|
+//! | `Busy` (shed before queueing) | back off, resend | back off, resend |
+//! | `not primary` refusal | next endpoint, resend | next endpoint, resend |
+//! | `submit` fails: the frame was never sent | redial, resend | redial, resend |
+//! | [`Pending::wait`] fails: sent, no reply | redial, resend | `Disconnected`; the next call redials |
+//!
+//! An unanswered write may have been applied, so it is never resent. A
+//! fixed connection has nothing to redial: its redial cells return
+//! `Disconnected` at once, and a `not primary` refusal is returned as is.
+//! [`KvClient::submit`] is the raw primitive: one frame, never retried.
 //!
 //! [`RemoteStore`] adapts a client to the [`KvStore`] trait so the
 //! workload drivers (YCSB, db_bench-style loops) can run unchanged against
@@ -24,6 +42,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Client-side failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,12 +73,27 @@ impl fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
+/// Key/value pairs in key order, as a SCAN returns them.
+pub type KvPairs = Vec<(Vec<u8>, Vec<u8>)>;
+
 /// One SCAN page: the returned pairs plus the `more` continuation flag.
-pub type ScanPage = (Vec<(Vec<u8>, Vec<u8>)>, bool);
+pub type ScanPage = (KvPairs, bool);
+
+/// Dials one endpoint of a [`KvClient::dial`] endpoint list; `None` when
+/// the endpoint does not answer.
+pub type Connector = Box<dyn Fn() -> Option<Connection> + Send + Sync>;
+
+/// Attempts per typed op: the first send plus up to five resends.
+const ATTEMPTS: u32 = 6;
+
+/// Backoff before retry attempt `n` (0-based): 1ms doubling, capped.
+fn backoff(n: u32) -> Duration {
+    Duration::from_millis((1u64 << n.min(7)).min(100))
+}
 
 struct ClientInner {
     /// Read by the demux thread, written by submitters (one frame at a
-    /// time, under `write_gate`), shut down by `sever`/`close`.
+    /// time, under `write_gate`), shut down by `sever` or on drop.
     socket: Socket,
     write_gate: Mutex<()>,
     pending: Mutex<HashMap<u64, Sender<Response>>>,
@@ -67,28 +101,15 @@ struct ClientInner {
     closed: AtomicBool,
 }
 
-/// A response not yet waited on — the handle that makes pipelining
-/// explicit: issue several requests, then [`Pending::wait`] for each.
-pub struct Pending {
-    rx: Receiver<Response>,
-}
-
-impl Pending {
-    /// Block until the response for this request arrives.
-    pub fn wait(self) -> Result<Response, ClientError> {
-        self.rx.recv().map_err(|_| ClientError::Disconnected)
-    }
-}
-
-/// A thread-safe, pipelined connection to a [`crate::KvServer`].
-pub struct KvClient {
+/// One connection plus the demux thread that routes its replies. Dropping
+/// the last handle shuts the socket and joins the thread.
+struct Conn {
     inner: Arc<ClientInner>,
     demux: Option<JoinHandle<()>>,
 }
 
-impl KvClient {
-    /// Take ownership of `conn` and start the response demux thread.
-    pub fn connect(conn: Connection) -> KvClient {
+impl Conn {
+    fn open(conn: Connection) -> Arc<Conn> {
         let inner = Arc::new(ClientInner {
             socket: conn.socket,
             write_gate: Mutex::new(()),
@@ -96,35 +117,33 @@ impl KvClient {
             next_id: AtomicU64::new(1),
             closed: AtomicBool::new(false),
         });
-        let demux = {
-            let inner = inner.clone();
-            std::thread::Builder::new()
-                .name("cachekv-client-demux".into())
-                .spawn(move || {
-                    while let Ok(Some(payload)) = read_frame(&mut &inner.socket) {
-                        let Ok((id, resp)) = decode_response(&payload) else {
-                            break;
-                        };
-                        if let Some(tx) = inner.pending.lock().remove(&id) {
-                            let _ = tx.send(resp);
-                        }
+        let shared = inner.clone();
+        let demux = std::thread::Builder::new()
+            .name("cachekv-client-demux".into())
+            .spawn(move || {
+                while let Ok(Some(payload)) = read_frame(&mut &shared.socket) {
+                    let Ok((id, resp)) = decode_response(&payload) else {
+                        break;
+                    };
+                    if let Some(tx) = shared.pending.lock().remove(&id) {
+                        let _ = tx.send(resp);
                     }
-                    inner.closed.store(true, Ordering::Release);
-                    // Dropping the one-shot senders wakes every waiter
-                    // with Disconnected.
-                    inner.pending.lock().clear();
-                })
-                .expect("spawn client demux")
-        };
-        KvClient {
+                }
+                shared.closed.store(true, Ordering::Release);
+                // Dropping the one-shot senders wakes every waiter with
+                // Disconnected.
+                shared.pending.lock().clear();
+            })
+            .expect("spawn client demux");
+        Arc::new(Conn {
             inner,
             demux: Some(demux),
-        }
+        })
     }
 
-    /// Send `req` without waiting; the returned [`Pending`] resolves when
-    /// the response arrives. This is the pipelining primitive.
-    pub fn submit(&self, req: &Request) -> Result<Pending, ClientError> {
+    /// Send one frame. `Err` means the frame was never (fully) sent, so
+    /// the server cannot have applied it.
+    fn submit(&self, req: &Request) -> Result<Pending, ClientError> {
         if self.inner.closed.load(Ordering::Acquire) {
             return Err(ClientError::Disconnected);
         }
@@ -141,55 +160,168 @@ impl KvClient {
         }
         Ok(Pending { rx: orx })
     }
+}
 
+impl Drop for Conn {
+    fn drop(&mut self) {
+        let _ = self.inner.socket.shutdown();
+        if let Some(h) = self.demux.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+/// A response not yet waited on — the handle that makes pipelining
+/// explicit: issue several requests, then [`Pending::wait`] for each.
+pub struct Pending {
+    rx: Receiver<Response>,
+}
+
+impl Pending {
+    /// Block until the response for this request arrives.
+    pub fn wait(self) -> Result<Response, ClientError> {
+        self.rx.recv().map_err(|_| ClientError::Disconnected)
+    }
+}
+
+/// A thread-safe, pipelined client of a [`crate::KvServer`].
+pub struct KvClient {
+    /// Endpoints to (re)dial, in failover order; empty for a fixed
+    /// connection.
+    endpoints: Vec<Connector>,
+    /// The endpoint index and connection currently serving requests.
+    active: Mutex<(usize, Arc<Conn>)>,
+}
+
+impl KvClient {
+    /// Take ownership of `conn`: one fixed connection, never redialled.
+    pub fn connect(conn: Connection) -> KvClient {
+        KvClient {
+            endpoints: Vec::new(),
+            active: Mutex::new((0, Conn::open(conn))),
+        }
+    }
+
+    /// Connect to the first endpoint that answers; `None` if none does.
+    /// Later failures redial along the list (see the module docs).
+    pub fn dial(endpoints: Vec<Connector>) -> Option<KvClient> {
+        let active = Mutex::new(dial_from(&endpoints, 0)?);
+        Some(KvClient { endpoints, active })
+    }
+
+    /// The index of the endpoint serving requests (0 when fixed).
+    pub fn active_endpoint(&self) -> usize {
+        self.active.lock().0
+    }
+
+    /// Send `req` without waiting; the returned [`Pending`] resolves when
+    /// the response arrives. This is the pipelining primitive: it is never
+    /// retried or redirected.
+    pub fn submit(&self, req: &Request) -> Result<Pending, ClientError> {
+        let conn = self.active.lock().1.clone();
+        conn.submit(req)
+    }
+
+    /// Replace `dead`, unless another caller already did, with the first
+    /// endpoint after it that answers (if none does, the next attempt's
+    /// send fails and redials again). `Disconnected` on a fixed connection.
+    fn fail_over(&self, dead: &Arc<Conn>) -> Result<(), ClientError> {
+        if self.endpoints.is_empty() {
+            return Err(ClientError::Disconnected);
+        }
+        let mut active = self.active.lock();
+        if Arc::ptr_eq(&active.1, dead) {
+            if let Some(next) = dial_from(&self.endpoints, active.0 + 1) {
+                *active = next;
+            }
+        }
+        Ok(())
+    }
+
+    /// The retry loop: `req` under the module docs' rule. Never `Busy`.
     fn call(&self, req: &Request) -> Result<Response, ClientError> {
-        self.submit(req)?.wait()
+        // Only reads may be resent once their frame has left: an
+        // unanswered write may already be applied.
+        let resendable = matches!(
+            req,
+            Request::Get { .. }
+                | Request::Scan { .. }
+                | Request::Stats
+                | Request::Ping { .. }
+                | Request::Hello { .. }
+        );
+        let mut last = ClientError::Disconnected;
+        for attempt in 0..ATTEMPTS {
+            if attempt > 0 {
+                std::thread::sleep(backoff(attempt - 1));
+            }
+            let conn = self.active.lock().1.clone();
+            // Outer `Err`: never sent. Inner `Err`: sent, no reply.
+            match conn.submit(req).map(Pending::wait) {
+                Ok(Err(e)) if !resendable => return Err(e),
+                Ok(Ok(Response::Busy)) => last = ClientError::Busy,
+                Ok(Ok(Response::Err(e)))
+                    if e.contains("not primary") && !self.endpoints.is_empty() =>
+                {
+                    self.fail_over(&conn)?;
+                    last = ClientError::Remote(e);
+                }
+                Ok(Ok(resp)) => return Ok(resp),
+                Err(e) | Ok(Err(e)) => {
+                    self.fail_over(&conn)?;
+                    last = e;
+                }
+            }
+        }
+        Err(last)
+    }
+
+    /// [`KvClient::call`] plus the reply mapping every typed op shares:
+    /// `Err` becomes [`ClientError::Remote`], `ok` picks the expected
+    /// reply, anything else is [`ClientError::Unexpected`]`(op)`.
+    fn expect<T>(
+        &self,
+        req: Request,
+        op: &'static str,
+        ok: impl FnOnce(Response) -> Option<T>,
+    ) -> Result<T, ClientError> {
+        match self.call(&req)? {
+            Response::Err(e) => Err(ClientError::Remote(e)),
+            resp => ok(resp).ok_or(ClientError::Unexpected(op)),
+        }
     }
 
     /// Fetch `key`.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, ClientError> {
-        match self.call(&Request::Get { key: key.to_vec() })? {
-            Response::Value(v) => Ok(Some(v)),
-            Response::NotFound => Ok(None),
-            Response::Busy => Err(ClientError::Busy),
-            Response::Err(e) => Err(ClientError::Remote(e)),
-            _ => Err(ClientError::Unexpected("get")),
-        }
+        self.expect(Request::Get { key: key.to_vec() }, "get", |r| match r {
+            Response::Value(v) => Some(Some(v)),
+            Response::NotFound => Some(None),
+            _ => None,
+        })
     }
 
     /// Write `key = value`; returns after the server's group commit.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), ClientError> {
-        match self.call(&Request::Put {
+        let req = Request::Put {
             key: key.to_vec(),
             value: value.to_vec(),
-        })? {
-            Response::Ok => Ok(()),
-            Response::Busy => Err(ClientError::Busy),
-            Response::Err(e) => Err(ClientError::Remote(e)),
-            _ => Err(ClientError::Unexpected("put")),
-        }
+        };
+        self.expect(req, "put", is_ok)
     }
 
     /// Delete `key`; returns after the server's group commit.
     pub fn delete(&self, key: &[u8]) -> Result<(), ClientError> {
-        match self.call(&Request::Delete { key: key.to_vec() })? {
-            Response::Ok => Ok(()),
-            Response::Busy => Err(ClientError::Busy),
-            Response::Err(e) => Err(ClientError::Remote(e)),
-            _ => Err(ClientError::Unexpected("delete")),
-        }
+        self.expect(Request::Delete { key: key.to_vec() }, "delete", is_ok)
     }
 
     /// Run `ops` as one atomic-ack batch: one reply, acked only after
     /// every op committed (gets observe earlier writes in the same batch
     /// on the same shard).
     pub fn batch(&self, ops: Vec<BatchOp>) -> Result<Vec<BatchReply>, ClientError> {
-        match self.call(&Request::Batch { ops })? {
-            Response::Batch(replies) => Ok(replies),
-            Response::Busy => Err(ClientError::Busy),
-            Response::Err(e) => Err(ClientError::Remote(e)),
-            _ => Err(ClientError::Unexpected("batch")),
-        }
+        self.expect(Request::Batch { ops }, "batch", |r| match r {
+            Response::Batch(replies) => Some(replies),
+            _ => None,
+        })
     }
 
     /// One SCAN page: up to `limit` live pairs with `start <= key < end`
@@ -203,39 +335,50 @@ impl KvClient {
         limit: u32,
         resume_after: Option<&[u8]>,
     ) -> Result<ScanPage, ClientError> {
-        match self.call(&Request::Scan {
+        let req = Request::Scan {
             start: start.to_vec(),
             end: end.to_vec(),
             limit,
             resume_after: resume_after.map(|k| k.to_vec()),
-        })? {
-            Response::Scan { items, more } => Ok((items, more)),
-            Response::Busy => Err(ClientError::Busy),
-            Response::Err(e) => Err(ClientError::Remote(e)),
-            _ => Err(ClientError::Unexpected("scan")),
+        };
+        self.expect(req, "scan", |r| match r {
+            Response::Scan { items, more } => Some((items, more)),
+            _ => None,
+        })
+    }
+
+    /// Up to `limit` live pairs with `start <= key < end`, following
+    /// continuation cursors until the limit is met or the server reports
+    /// the range exhausted. The concatenated pages equal one unbounded
+    /// scan of the same range.
+    pub fn scan_all(&self, start: &[u8], end: &[u8], limit: usize) -> Result<KvPairs, ClientError> {
+        let mut out = Vec::new();
+        let mut resume: Option<Vec<u8>> = None;
+        loop {
+            let want = (limit - out.len()).min(u32::MAX as usize) as u32;
+            let (items, more) = self.scan(start, end, want, resume.as_deref())?;
+            out.extend(items);
+            if !more || out.len() >= limit {
+                out.truncate(limit);
+                return Ok(out);
+            }
+            resume = out.last().map(|(k, _)| k.clone());
         }
     }
 
     /// The server's stats document (JSON: `server` metrics, per-shard
     /// snapshots, and a merged `StatsSnapshot`).
     pub fn stats(&self) -> Result<String, ClientError> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(doc) => Ok(doc),
-            Response::Busy => Err(ClientError::Busy),
-            Response::Err(e) => Err(ClientError::Remote(e)),
-            _ => Err(ClientError::Unexpected("stats")),
-        }
+        self.expect(Request::Stats, "stats", |r| match r {
+            Response::Stats(doc) => Some(doc),
+            _ => None,
+        })
     }
 
     /// Liveness probe; with `sync` the server first drains every shard
     /// queue and quiesces every store (the wire form of `quiesce`).
     pub fn ping(&self, sync: bool) -> Result<(), ClientError> {
-        match self.call(&Request::Ping { sync })? {
-            Response::Ok => Ok(()),
-            Response::Busy => Err(ClientError::Busy),
-            Response::Err(e) => Err(ClientError::Remote(e)),
-            _ => Err(ClientError::Unexpected("ping")),
-        }
+        self.expect(Request::Ping { sync }, "ping", is_ok)
     }
 
     /// Promote the connected follower to primary under routing epoch
@@ -245,296 +388,31 @@ impl KvClient {
     /// connection that designated itself, so a stray or misrouted
     /// client frame cannot split-brain a pair.
     pub fn promote(&self, epoch: u64) -> Result<(), ClientError> {
-        match self.call(&Request::Hello { role: HELLO_ADMIN })? {
-            Response::Ok => {}
-            Response::Err(e) => return Err(ClientError::Remote(e)),
-            _ => return Err(ClientError::Unexpected("hello")),
-        }
-        match self.call(&Request::Promote { epoch })? {
-            Response::Ok => Ok(()),
-            Response::Busy => Err(ClientError::Busy),
-            Response::Err(e) => Err(ClientError::Remote(e)),
-            _ => Err(ClientError::Unexpected("promote")),
-        }
+        self.expect(Request::Hello { role: HELLO_ADMIN }, "hello", is_ok)?;
+        self.expect(Request::Promote { epoch }, "promote", is_ok)
     }
 
-    /// Sever the underlying connection without consuming the handle:
-    /// every in-flight and future call fails with `Disconnected`. Used
-    /// to unblock a thread wedged in [`Pending::wait`] on a dead peer
-    /// (the replication shipper during shutdown).
+    /// Sever the active connection without consuming the handle, failing
+    /// its in-flight waits with `Disconnected`: unblocks a thread wedged in
+    /// [`Pending::wait`] on a dead peer (the replication shipper's shutdown).
     pub fn sever(&self) {
-        let _ = self.inner.socket.shutdown();
+        let _ = self.active.lock().1.inner.socket.shutdown();
     }
 
-    /// Tear the connection down and join the demux thread.
-    pub fn close(mut self) {
-        self.teardown();
-    }
-
-    fn teardown(&mut self) {
-        let _ = self.inner.socket.shutdown();
-        if let Some(h) = self.demux.take() {
-            let _ = h.join();
-        }
-    }
+    /// Tear the connection down and join its demux thread (as drop does).
+    pub fn close(self) {}
 }
 
-impl Drop for KvClient {
-    fn drop(&mut self) {
-        self.teardown();
-    }
+fn is_ok(resp: Response) -> Option<()> {
+    matches!(resp, Response::Ok).then_some(())
 }
 
-/// Dials one endpoint of a replicated pair (index into the connector
-/// list).
-pub type Connector = Box<dyn Fn() -> Option<crate::transport::Connection> + Send + Sync>;
-
-/// A failover-aware client over a primary/follower pair (or any endpoint
-/// list): operations run against the active endpoint and, on a
-/// disconnect or a `not primary` refusal, the client redials the other
-/// endpoints in order and retries once per endpoint — the routing-epoch
-/// redirect that makes promotion transparent to callers.
-pub struct HaClient {
-    connectors: Vec<Connector>,
-    active: Mutex<(usize, Arc<KvClient>)>,
-}
-
-impl HaClient {
-    /// Connect to the first dialable endpoint. `None` if every connector
-    /// fails.
-    pub fn connect(connectors: Vec<Connector>) -> Option<HaClient> {
-        assert!(
-            !connectors.is_empty(),
-            "HaClient needs at least one endpoint"
-        );
-        let (idx, client) = Self::dial_from(&connectors, 0)?;
-        Some(HaClient {
-            connectors,
-            active: Mutex::new((idx, client)),
-        })
-    }
-
-    fn dial_from(connectors: &[Connector], start: usize) -> Option<(usize, Arc<KvClient>)> {
-        for off in 0..connectors.len() {
-            let idx = (start + off) % connectors.len();
-            if let Some(conn) = connectors[idx]() {
-                return Some((idx, Arc::new(KvClient::connect(conn))));
-            }
-        }
-        None
-    }
-
-    /// The index of the endpoint currently serving requests.
-    pub fn active_endpoint(&self) -> usize {
-        self.active.lock().0
-    }
-
-    fn should_redirect(err: &ClientError) -> bool {
-        match err {
-            ClientError::Disconnected => true,
-            // Busy is the endpoint telling us to back off, not to leave.
-            ClientError::Busy => false,
-            ClientError::Remote(msg) => msg.contains("not primary"),
-            ClientError::Unexpected(_) => false,
-        }
-    }
-
-    /// Run `op` against the active endpoint; on a redirectable failure,
-    /// advance through the endpoint list (redialing) and retry, at most
-    /// once per endpoint.
-    fn with_redirect<T>(
-        &self,
-        op: impl Fn(&KvClient) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let (mut idx, mut client) = {
-            let active = self.active.lock();
-            (active.0, active.1.clone())
-        };
-        let mut attempts = self.connectors.len() + 1;
-        loop {
-            match op(&client) {
-                Ok(v) => return Ok(v),
-                Err(e) if Self::should_redirect(&e) && attempts > 1 => {
-                    attempts -= 1;
-                    let Some((next_idx, next)) =
-                        Self::dial_from(&self.connectors, (idx + 1) % self.connectors.len())
-                    else {
-                        return Err(ClientError::Disconnected);
-                    };
-                    let mut active = self.active.lock();
-                    *active = (next_idx, next.clone());
-                    idx = next_idx;
-                    client = next;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Fetch `key` from the active endpoint (redirecting on failover).
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, ClientError> {
-        self.with_redirect(|c| c.get(key))
-    }
-
-    /// Write `key = value` to the current primary (redirecting on
-    /// failover).
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), ClientError> {
-        self.with_redirect(|c| c.put(key, value))
-    }
-
-    /// Delete `key` on the current primary (redirecting on failover).
-    pub fn delete(&self, key: &[u8]) -> Result<(), ClientError> {
-        self.with_redirect(|c| c.delete(key))
-    }
-
-    /// The active endpoint's stats document.
-    pub fn stats(&self) -> Result<String, ClientError> {
-        self.with_redirect(|c| c.stats())
-    }
-}
-
-/// Reconnecting wrapper over one endpoint: redials through a
-/// [`Connector`] with bounded exponential backoff when the connection
-/// dies, and transparently retries **idempotent reads** (GET, SCAN,
-/// STATS, PING) across both reconnects and `Busy` sheds.
-///
-/// Writes are deliberately *not* auto-retried: on `Disconnected` the
-/// caller cannot know whether the server applied the write before the
-/// connection died, so the ambiguity is surfaced. `Busy` on a write *is*
-/// safe to retry (the server sheds before queueing anything) but the
-/// wrapper still surfaces it — retry cadence under overload is the
-/// caller's policy, not the transport's.
-pub struct RetryClient {
-    connector: Connector,
-    active: Mutex<Option<Arc<KvClient>>>,
-    /// Attempts per operation (first try + retries), each retry preceded
-    /// by backoff.
-    max_attempts: u32,
-}
-
-/// Backoff before retry attempt `n` (0-based): 1ms doubling, capped.
-fn backoff(n: u32) -> std::time::Duration {
-    std::time::Duration::from_millis((1u64 << n.min(7)).min(100))
-}
-
-impl RetryClient {
-    /// Wrap `connector`; the first dial happens lazily on first use.
-    pub fn new(connector: Connector) -> RetryClient {
-        RetryClient {
-            connector,
-            active: Mutex::new(None),
-            max_attempts: 6,
-        }
-    }
-
-    /// Current client, dialing (with backoff across attempts) if there
-    /// is none.
-    fn client(&self, attempt: u32) -> Result<Arc<KvClient>, ClientError> {
-        let mut active = self.active.lock();
-        if let Some(c) = active.as_ref() {
-            return Ok(c.clone());
-        }
-        if attempt > 0 {
-            std::thread::sleep(backoff(attempt - 1));
-        }
-        let conn = (self.connector)().ok_or(ClientError::Disconnected)?;
-        let c = Arc::new(KvClient::connect(conn));
-        *active = Some(c.clone());
-        Ok(c)
-    }
-
-    /// Drop the active connection so the next operation redials.
-    fn invalidate(&self, dead: &Arc<KvClient>) {
-        let mut active = self.active.lock();
-        if let Some(cur) = active.as_ref() {
-            if Arc::ptr_eq(cur, dead) {
-                *active = None;
-            }
-        }
-    }
-
-    /// Run an idempotent operation, retrying across reconnects and
-    /// `Busy` sheds with bounded backoff.
-    fn retry_read<T>(
-        &self,
-        op: impl Fn(&KvClient) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let mut last = ClientError::Disconnected;
-        for attempt in 0..self.max_attempts {
-            let client = match self.client(attempt) {
-                Ok(c) => c,
-                Err(e) => {
-                    last = e;
-                    continue;
-                }
-            };
-            match op(&client) {
-                Ok(v) => return Ok(v),
-                Err(ClientError::Disconnected) => {
-                    self.invalidate(&client);
-                    last = ClientError::Disconnected;
-                }
-                Err(ClientError::Busy) => {
-                    std::thread::sleep(backoff(attempt));
-                    last = ClientError::Busy;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last)
-    }
-
-    /// Run a write once against the current connection (dialing if
-    /// needed), surfacing `Busy` / `Disconnected` as-is.
-    fn write_once<T>(
-        &self,
-        op: impl Fn(&KvClient) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let client = self.client(0)?;
-        let out = op(&client);
-        if matches!(out, Err(ClientError::Disconnected)) {
-            self.invalidate(&client);
-        }
-        out
-    }
-
-    /// Fetch `key`, retrying across reconnects and sheds.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, ClientError> {
-        self.retry_read(|c| c.get(key))
-    }
-
-    /// One SCAN page, retried like a read.
-    pub fn scan(
-        &self,
-        start: &[u8],
-        end: &[u8],
-        limit: u32,
-        resume_after: Option<&[u8]>,
-    ) -> Result<ScanPage, ClientError> {
-        self.retry_read(|c| c.scan(start, end, limit, resume_after))
-    }
-
-    /// Stats document, retried like a read.
-    pub fn stats(&self) -> Result<String, ClientError> {
-        self.retry_read(|c| c.stats())
-    }
-
-    /// Liveness probe, retried like a read.
-    pub fn ping(&self, sync: bool) -> Result<(), ClientError> {
-        self.retry_read(|c| c.ping(sync))
-    }
-
-    /// Write `key = value` — NOT auto-retried; `Busy` means "nothing was
-    /// applied, retry when you choose", `Disconnected` means "outcome
-    /// unknown".
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), ClientError> {
-        self.write_once(|c| c.put(key, value))
-    }
-
-    /// Delete `key` — same non-retry policy as [`RetryClient::put`].
-    pub fn delete(&self, key: &[u8]) -> Result<(), ClientError> {
-        self.write_once(|c| c.delete(key))
-    }
+/// The first of `endpoints` from `start` on (wrapping) that answers.
+fn dial_from(endpoints: &[Connector], start: usize) -> Option<(usize, Arc<Conn>)> {
+    (0..endpoints.len()).find_map(|off| {
+        let idx = (start + off) % endpoints.len();
+        endpoints[idx]().map(|conn| (idx, Conn::open(conn)))
+    })
 }
 
 /// [`KvStore`] adapter over a shared [`KvClient`], so workload drivers
@@ -561,8 +439,8 @@ impl RemoteStore {
 fn remote_error(e: ClientError) -> cachekv_lsm::Error {
     match e {
         ClientError::Disconnected => cachekv_lsm::Error::Closed,
-        // Drivers have no retry notion; a shed that survived RemoteStore's
-        // own bounded retries reports as a transient I/O-style failure.
+        // Drivers have no retry notion; a shed that survived the client's
+        // bounded retries reports as a transient I/O-style failure.
         ClientError::Busy => cachekv_lsm::Error::Corruption("server busy (load shed)".into()),
         ClientError::Remote(msg) => {
             if msg.contains("out of persistent space") {
@@ -579,64 +457,27 @@ fn remote_error(e: ClientError) -> cachekv_lsm::Error {
     }
 }
 
-/// Bounded `Busy` absorption for [`RemoteStore`]: workload drivers treat
-/// errors as fatal, and a shed request was never queued, so brief
-/// overload is retried here (writes included — shedding happens before
-/// admission, so the retry cannot double-apply).
-fn retry_busy<T>(op: impl Fn() -> Result<T, ClientError>) -> Result<T, ClientError> {
-    let mut n = 0;
-    loop {
-        match op() {
-            Err(ClientError::Busy) if n < 6 => {
-                std::thread::sleep(backoff(n));
-                n += 1;
-            }
-            out => return out,
-        }
-    }
-}
-
 impl KvStore for RemoteStore {
     fn put(&self, key: &[u8], value: &[u8]) -> cachekv_lsm::Result<()> {
-        retry_busy(|| self.client.put(key, value)).map_err(remote_error)
+        self.client.put(key, value).map_err(remote_error)
     }
 
     fn get(&self, key: &[u8]) -> cachekv_lsm::Result<Option<Vec<u8>>> {
-        retry_busy(|| self.client.get(key)).map_err(remote_error)
+        self.client.get(key).map_err(remote_error)
     }
 
     fn delete(&self, key: &[u8]) -> cachekv_lsm::Result<()> {
-        retry_busy(|| self.client.delete(key)).map_err(remote_error)
+        self.client.delete(key).map_err(remote_error)
     }
 
     fn name(&self) -> &'static str {
         "cachekv-remote"
     }
 
-    /// Paged wire scan: follow continuation cursors until the limit is
-    /// met or the server reports the range exhausted. The concatenated
-    /// pages equal one unbounded scan of the same range.
-    fn scan(
-        &self,
-        start: &[u8],
-        end: &[u8],
-        limit: usize,
-    ) -> cachekv_lsm::Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut out: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut resume: Option<Vec<u8>> = None;
-        loop {
-            let want = (limit - out.len()).min(u32::MAX as usize) as u32;
-            let (items, more) = self
-                .client
-                .scan(start, end, want, resume.as_deref())
-                .map_err(remote_error)?;
-            out.extend(items);
-            if !more || out.len() >= limit {
-                out.truncate(limit);
-                return Ok(out);
-            }
-            resume = out.last().map(|(k, _)| k.clone());
-        }
+    fn scan(&self, start: &[u8], end: &[u8], limit: usize) -> cachekv_lsm::Result<KvPairs> {
+        self.client
+            .scan_all(start, end, limit)
+            .map_err(remote_error)
     }
 
     fn quiesce(&self) {

@@ -18,9 +18,10 @@
 //!   for the crash-sweep proof). A server-wide admission budget sheds
 //!   over-watermark load with `Busy`; a connection that does not read its
 //!   replies has its reads paused.
-//! * [`client`] — pipelined [`KvClient`] plus [`RemoteStore`], a
-//!   [`cachekv_lsm::KvStore`] adapter so YCSB/db_bench drivers run against
-//!   the wire unchanged.
+//! * [`client`] — [`KvClient`], the one client: pipelined, over a fixed
+//!   connection or an endpoint list it fails over along, with one retry
+//!   rule for every op; plus [`RemoteStore`], a [`cachekv_lsm::KvStore`]
+//!   adapter so YCSB/db_bench drivers run against the wire unchanged.
 //! * [`obs`] — `server.*` counters, gauges, and latency histograms; the
 //!   STATS opcode returns them with per-shard engine snapshots.
 
@@ -34,8 +35,8 @@ pub mod server;
 pub mod shard;
 pub mod transport;
 
-pub use cache::{Admission, AdmissionKind, Eviction, EvictionKind, HotCache, HotCacheConfig};
-pub use client::{ClientError, Connector, HaClient, KvClient, Pending, RemoteStore, RetryClient};
+pub use cache::{HotCache, HotCacheConfig};
+pub use client::{ClientError, Connector, KvClient, Pending, RemoteStore};
 pub use obs::ServerObs;
 pub use protocol::{
     BatchOp, BatchReply, ReplWrite, Request, Response, HELLO_ADMIN, HELLO_REPL, MAX_KV_BYTES,

@@ -6,7 +6,7 @@
 //! `event_loop` for the connection diagram and the backpressure model) and
 //! one committer thread per shard. Every accepted connection — TCP or
 //! loopback — is handed to an I/O thread, which decodes frames and calls
-//! [`dispatch`]: reads are served inline, writes are admitted against the
+//! `dispatch`: reads are served inline, writes are admitted against the
 //! server-wide budget (or shed with `Busy`), hash-routed to a shard queue and
 //! acked only after their group-commit round is fully applied. Shutdown
 //! stops accepting, stops the I/O threads (closing every connection), then
@@ -242,9 +242,8 @@ impl AdmitBudget {
 }
 
 /// RAII admission slot for in-flight write ops (weight `n`); carried by a
-/// [`Submission`](crate::shard::Submission) or a
-/// [`BatchAcc`](crate::shard::BatchAcc) and released when the commit
-/// round's ack drops it.
+/// [`crate::shard::Submission`] or a [`crate::shard::BatchAcc`] and
+/// released when the commit round's ack drops it.
 pub struct AdmitPermit {
     budget: Arc<AdmitBudget>,
     n: u64,
@@ -945,9 +944,9 @@ fn repl_link_check(
     ))
 }
 
-/// The follower-role write refusal: names the current epoch so an
-/// [`crate::client::HaClient`] can distinguish a demoted stale primary
-/// from a transient error and redirect.
+/// The follower-role write refusal: names the current epoch, and its
+/// `not primary` prefix is what makes a [`crate::KvClient`] built with
+/// [`crate::KvClient::dial`] fail over to the next endpoint and resend.
 fn not_primary(shared: &Arc<ServerShared>) -> Response {
     Response::Err(format!(
         "not primary (epoch {})",

@@ -16,9 +16,7 @@ use cachekv::{CacheKv, CacheKvConfig};
 use cachekv_cache::{CacheConfig, Hierarchy};
 use cachekv_lsm::KvStore;
 use cachekv_pmem::{LatencyConfig, PmemConfig, PmemDevice};
-use cachekv_server::{
-    AdmissionKind, HotCacheConfig, KvClient, KvServer, LoopbackTransport, ServerConfig,
-};
+use cachekv_server::{HotCacheConfig, KvClient, KvServer, LoopbackTransport, ServerConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -249,18 +247,6 @@ fn oracle_with_tiny_thrashing_cache() {
 #[test]
 fn oracle_with_unbounded_cache() {
     sweep_capacity(64 << 20);
-}
-
-#[test]
-fn oracle_with_admit_all_and_fifo() {
-    // The alternate policy pair must uphold the same consistency bound.
-    let cache = HotCacheConfig {
-        capacity_bytes: 8 << 10,
-        admission: AdmissionKind::AdmitAll,
-        eviction: cachekv_server::EvictionKind::Fifo,
-        ..HotCacheConfig::default()
-    };
-    run_oracle(2, cache, "cache=tiny-fifo shards=2");
 }
 
 /// Round-invalidation race: readers hammer one ultra-hot key while

@@ -1,7 +1,7 @@
 //! End-to-end tests for the serving path: the readiness-polling I/O loops
 //! that multiplex every connection, the server-wide admission budget that
 //! sheds over-watermark load with `Busy`, the per-connection read pause,
-//! and the reconnecting [`RetryClient`].
+//! and a [`KvClient`] that redials its endpoint.
 //!
 //! The backpressure and accounting tests run once per transport ([`Wire`]):
 //! TCP on `127.0.0.1:0` and the in-process loopback socket pair take the
@@ -14,7 +14,7 @@ use cachekv_obs::Json;
 use cachekv_pmem::{LatencyConfig, PmemConfig, PmemDevice};
 use cachekv_server::protocol::{decode_response, encode_request, read_frame, write_frame};
 use cachekv_server::{
-    ClientError, Connection, KvClient, KvServer, LoopbackTransport, Request, Response, RetryClient,
+    ClientError, Connection, Connector, KvClient, KvServer, LoopbackTransport, Request, Response,
     ServerConfig, TcpTransport,
 };
 use std::collections::HashMap;
@@ -485,8 +485,9 @@ fn sequential_small_frames_are_not_nagle_delayed() {
     server.shutdown();
 }
 
-/// RetryClient redials through its connector after the endpoint dies and
-/// transparently retries the read; writes surface the ambiguity instead.
+/// A dialled client redials through its connector after the endpoint dies
+/// and transparently retries the read; writes surface the ambiguity
+/// instead.
 #[test]
 fn retry_client_reconnects_and_retries_reads() {
     let (server_a, addr_a) = start_tcp(engine_shards(1), ServerConfig::default());
@@ -495,10 +496,11 @@ fn retry_client_reconnects_and_retries_reads() {
     let rc = {
         let endpoint = endpoint.clone();
         let dials = dials.clone();
-        RetryClient::new(Box::new(move || {
+        let connector: Connector = Box::new(move || {
             dials.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             TcpTransport::connect(*endpoint.lock()).ok()
-        }))
+        });
+        KvClient::dial(vec![connector]).expect("dial endpoint A")
     };
 
     rc.put(b"ra", b"1").unwrap();

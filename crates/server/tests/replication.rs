@@ -1,5 +1,6 @@
 //! Round-shipping replication: protocol semantics, snapshot bootstrap
-//! equivalence, torn-stream rejection, promotion, and client failover.
+//! equivalence, torn-stream rejection, promotion, and client failover
+//! (including which writes a failing-over client may resend).
 //!
 //! The acceptance-level crash sweep (kill the primary at every persistence
 //! event, promote, verify the ack contract) lives in the workspace-level
@@ -10,9 +11,10 @@ use cachekv::{CacheKv, CacheKvConfig};
 use cachekv_cache::{CacheConfig, Hierarchy};
 use cachekv_lsm::KvStore;
 use cachekv_pmem::{LatencyConfig, PersistDomain, PmemConfig, PmemDevice};
+use cachekv_server::protocol::read_frame;
 use cachekv_server::{
-    Connector, HaClient, HotCacheConfig, KvClient, KvServer, LoopbackTransport, ReplMode,
-    ReplWrite, Request, Response, ServerConfig, StoreFactory, HELLO_ADMIN, HELLO_REPL,
+    ClientError, Connector, HotCacheConfig, KvClient, KvServer, LoopbackTransport, ReplMode,
+    ReplWrite, Request, Response, ServerConfig, StoreFactory, Transport, HELLO_ADMIN, HELLO_REPL,
     MAX_KV_BYTES,
 };
 use std::collections::HashMap;
@@ -674,7 +676,7 @@ fn ha_client_redirects_to_promoted_follower() {
         Box::new(move || pt.connect()),
         Box::new(move || ft.connect()),
     ];
-    let ha = HaClient::connect(connectors).expect("dial primary");
+    let ha = KvClient::dial(connectors).expect("dial primary");
     assert_eq!(ha.active_endpoint(), 0);
     for i in 0..50u32 {
         ha.put(format!("ha-{i:02}").as_bytes(), b"v1")
@@ -701,6 +703,53 @@ fn ha_client_redirects_to_promoted_follower() {
     assert_eq!(ha.active_endpoint(), 1);
     assert_eq!(pair.follower.obs().repl_failovers.get(), 1);
     pair.follower.shutdown();
+}
+
+/// A write whose frame reached an endpoint that then died without
+/// answering may have been applied there, so the client must surface
+/// `Disconnected` instead of resending it to the next endpoint (where a
+/// reader could then see it land after later acked writes). The next call
+/// fails over.
+#[test]
+fn unanswered_write_is_not_resent_to_next_endpoint() {
+    // Endpoint 0: takes one frame, then hangs up without a reply.
+    let fake = LoopbackTransport::new();
+    let peer = {
+        let fake = fake.clone();
+        std::thread::spawn(move || {
+            let conn = fake.accept().expect("client dials endpoint 0 first");
+            read_frame(&mut &conn.socket)
+                .expect("read request")
+                .expect("one frame");
+            conn.socket.shutdown().expect("hang up");
+        })
+    };
+    let live_transport = LoopbackTransport::new();
+    let live = KvServer::start(fresh_stores(SHARDS), live_transport.clone(), server_cfg());
+    let (ft, lt) = (fake.clone(), live_transport.clone());
+    let connectors: Vec<Connector> = vec![
+        Box::new(move || ft.connect()),
+        Box::new(move || lt.connect()),
+    ];
+    let client = KvClient::dial(connectors).expect("dial");
+    assert_eq!(client.active_endpoint(), 0);
+
+    assert_eq!(client.put(b"k", b"v"), Err(ClientError::Disconnected));
+    peer.join().unwrap();
+    let probe = KvClient::connect(live_transport.connect().unwrap());
+    assert_eq!(
+        probe.get(b"k").unwrap(),
+        None,
+        "unanswered write was resent to the next endpoint"
+    );
+
+    client.put(b"k2", b"v2").expect("next write fails over");
+    assert_eq!(client.active_endpoint(), 1);
+    assert_eq!(probe.get(b"k2").unwrap(), Some(b"v2".to_vec()));
+    assert_eq!(probe.get(b"k").unwrap(), None);
+    probe.close();
+    client.close();
+    live.shutdown();
 }
 
 #[test]

@@ -284,35 +284,22 @@ fn main() {
                         }
                         None => usize::MAX,
                     };
-                    // `-` means unbounded; pages are followed via the
-                    // continuation cursor, exactly like RemoteStore::scan.
+                    // `-` means unbounded; `scan_all` follows the
+                    // continuation cursor across pages.
                     let end: &[u8] = if end == "-" { b"" } else { end.as_bytes() };
-                    let mut shown = 0usize;
-                    let mut resume: Option<Vec<u8>> = None;
-                    loop {
-                        let want = (limit - shown).min(u32::MAX as usize) as u32;
-                        match client.scan(start.as_bytes(), end, want, resume.as_deref()) {
-                            Ok((items, more)) => {
-                                for (k, v) in &items {
-                                    println!(
-                                        "{} = {}",
-                                        String::from_utf8_lossy(k),
-                                        String::from_utf8_lossy(v)
-                                    );
-                                }
-                                shown += items.len();
-                                if !more || shown >= limit {
-                                    break;
-                                }
-                                resume = items.last().map(|(k, _)| k.clone());
+                    match client.scan_all(start.as_bytes(), end, limit) {
+                        Ok(items) => {
+                            for (k, v) in &items {
+                                println!(
+                                    "{} = {}",
+                                    String::from_utf8_lossy(k),
+                                    String::from_utf8_lossy(v)
+                                );
                             }
-                            Err(e) => {
-                                println!("error: {e}");
-                                break;
-                            }
+                            println!("({} keys)", items.len());
                         }
+                        Err(e) => println!("error: {e}"),
                     }
-                    println!("({shown} keys)");
                 }
                 _ => println!("usage: scan <start> <end|-> [limit]"),
             },
