@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt clippy doc build test sweep bench bench-smoke serve kvbench-quick kvbench-test kvbench-ab
+.PHONY: verify fmt clippy doc build test sweep bench bench-smoke serve kvbench-quick kvbench-test kvbench-ab loc
 
 verify: fmt clippy doc test sweep
 
@@ -68,6 +68,12 @@ serve:
 
 bench:
 	$(CARGO) bench --workspace
+
+# Code lines per crate and per file of crates/server/src (comments, blank
+# lines and everything from a file's first `#[cfg(test)]` on are not
+# counted; see scripts/loc.sh). The kLoC figures in ROADMAP.md use it.
+loc:
+	@sh scripts/loc.sh
 
 # Scaled-down figure runs that must each emit a parseable metrics artifact
 # (target/metrics/<fig>.json) passing validate_metrics.

@@ -36,11 +36,11 @@
 //!   wake the owning loop; a closed connection drops them silently (the
 //!   client is gone; the commit still happened).
 
-use crate::protocol::{decode_request, write_frame, Response, MAX_FRAME};
-use crate::server::{dispatch, release_repl_link, ConnCtx, ReplySender, ServerShared};
+use crate::follower::release_repl_link;
+use crate::protocol::{decode_request, encode_response, parse_frame, write_frame, Frame, Response};
+use crate::server::{dispatch, ConnCtx, ServerShared};
 use crate::transport::Socket;
-use cachekv_obs::Gauge;
-use cachekv_storage::crc::crc32c;
+use cachekv_obs::{Counter, Gauge};
 use parking_lot::Mutex;
 use polling::{Interest, Poller, Waker};
 use std::collections::{HashMap, VecDeque};
@@ -139,23 +139,27 @@ struct OutQ {
     notified: bool,
 }
 
-/// The committer-facing handle of one event-loop connection: an outbound
-/// frame queue plus the wake route to the loop that owns the socket. All
-/// socket I/O stays on the I/O thread; other threads only append here.
+/// The reply route of one event-loop connection: an outbound frame queue
+/// plus the wake route to the loop that owns the socket. All socket I/O
+/// stays on the I/O thread; dispatch and the committers only append here.
 pub(crate) struct EventConn {
     token: u64,
     io: Arc<IoShared>,
     out: Mutex<OutQ>,
     inflight_bytes: Arc<Gauge>,
+    bytes_out: Arc<Counter>,
 }
 
 impl EventConn {
-    /// Frame `payload` and queue it for the socket, waking the I/O thread
-    /// if it isn't already aware of pending output. Never blocks; drops
-    /// silently after close (the peer is gone).
-    pub(crate) fn enqueue_frame(&self, payload: &[u8]) {
+    /// Encode `(id, resp)` and queue it for the socket, waking the I/O
+    /// thread if it isn't already aware of pending output. Never blocks;
+    /// drops silently after close (the client is gone; the commit still
+    /// happened).
+    pub(crate) fn send(&self, id: u64, resp: &Response) {
+        let payload = encode_response(id, resp);
+        self.bytes_out.add(payload.len() as u64 + 8);
         let mut frame = Vec::with_capacity(payload.len() + 8);
-        write_frame(&mut frame, payload).expect("response frame within MAX_FRAME");
+        write_frame(&mut frame, &payload).expect("response frame within MAX_FRAME");
         let len = frame.len();
         let mut out = self.out.lock();
         if out.closed {
@@ -183,7 +187,6 @@ impl EventConn {
 struct ConnState {
     socket: Socket,
     conn: Arc<EventConn>,
-    reply: ReplySender,
     ctx: ConnCtx,
     /// Accumulated bytes not yet parsed into complete frames.
     rbuf: Vec<u8>,
@@ -297,13 +300,12 @@ fn register_conn(
             notified: false,
         }),
         inflight_bytes: shared.obs.inflight_bytes.clone(),
+        bytes_out: shared.obs.bytes_out.clone(),
     });
-    let reply = ReplySender::new(conn.clone(), shared.obs.clone());
     let ctx = ConnCtx::new(shared);
     Some(ConnState {
         socket,
         conn,
-        reply,
         ctx,
         rbuf: Vec::new(),
         paused: false,
@@ -381,45 +383,34 @@ fn read_conn(
 }
 
 /// Extract complete frames from the accumulation buffer and dispatch
-/// them, with `read_frame`'s semantics: frame-level corruption (oversize
-/// length, CRC mismatch) closes the connection; a payload that frames
-/// correctly but decodes badly gets an error reply and the connection lives
-/// on.
+/// them. Frame-level corruption (the rules of
+/// [`crate::protocol::parse_frame`]: oversize length, CRC mismatch) closes
+/// the connection; a payload that frames correctly but decodes badly gets
+/// an error reply and the connection lives on.
 fn parse_frames(cs: &mut ConnState, shared: &Arc<ServerShared>) -> ConnFate {
     let mut pos = 0usize;
     let fate = loop {
-        let rest = &cs.rbuf[pos..];
-        if rest.len() < 8 {
-            break ConnFate::Keep;
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        let want_crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
-        if len > MAX_FRAME {
-            break ConnFate::Close;
-        }
-        if rest.len() < 8 + len {
-            break ConnFate::Keep;
-        }
-        let payload = &rest[8..8 + len];
-        if crc32c(payload) != want_crc {
-            break ConnFate::Close;
-        }
+        let (payload, len) = match parse_frame(&cs.rbuf[pos..]) {
+            Ok(Frame::Whole { payload, len }) => (payload, len),
+            Ok(Frame::Need(_)) => break ConnFate::Keep,
+            Err(_) => break ConnFate::Close,
+        };
         let obs = &shared.obs;
-        obs.bytes_in.add(len as u64 + 8);
+        obs.bytes_in.add(len as u64);
         obs.requests.inc();
         match decode_request(payload) {
-            Ok((id, req)) => dispatch(shared, id, req, &cs.reply, &mut cs.ctx),
+            Ok((id, req)) => dispatch(shared, id, req, &cs.conn, &mut cs.ctx),
             Err(e) => {
                 obs.errors.inc();
                 let id = payload
                     .get(..8)
                     .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
                     .unwrap_or(0);
-                cs.reply
+                cs.conn
                     .send(id, &Response::Err(format!("bad request: {e}")));
             }
         }
-        pos += 8 + len;
+        pos += len;
     };
     if pos > 0 {
         cs.rbuf.drain(..pos);

@@ -177,6 +177,16 @@ pub enum BatchOp {
     Get { key: Vec<u8> },
 }
 
+/// A replicated write enters a shard queue as the batch op it is.
+impl From<ReplWrite> for BatchOp {
+    fn from(w: ReplWrite) -> BatchOp {
+        match w {
+            ReplWrite::Put { key, value } => BatchOp::Put { key, value },
+            ReplWrite::Delete { key } => BatchOp::Delete { key },
+        }
+    }
+}
+
 impl BatchOp {
     /// The key this op routes on.
     pub fn key(&self) -> &[u8] {
@@ -278,14 +288,55 @@ pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> io::Result<()> {
     w.write_all(payload)
 }
 
+/// What a buffer that starts at a frame boundary holds.
+pub(crate) enum Frame<'a> {
+    /// One whole, CRC-checked frame: its payload and the bytes it spans
+    /// (header included).
+    Whole { payload: &'a [u8], len: usize },
+    /// Not yet a whole frame: the buffer must reach this many bytes first.
+    Need(usize),
+}
+
+/// The frame rules, in the one place both readers ([`read_frame`] and the
+/// server's event loop) apply them: a length over [`MAX_FRAME`] is refused
+/// as soon as the header is in, and a whole frame whose payload fails its
+/// CRC is refused before anything interprets it.
+pub(crate) fn parse_frame(buf: &[u8]) -> io::Result<Frame<'_>> {
+    let Some(hdr) = buf.get(..8) else {
+        return Ok(Frame::Need(8));
+    };
+    let len = u32::from_le_bytes(hdr[..4].try_into().unwrap()) as usize;
+    let want_crc = u32::from_le_bytes(hdr[4..].try_into().unwrap());
+    if len > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame length {len} exceeds {MAX_FRAME}"),
+        ));
+    }
+    let Some(payload) = buf.get(8..8 + len) else {
+        return Ok(Frame::Need(8 + len));
+    };
+    let got_crc = crc32c(payload);
+    if got_crc != want_crc {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame CRC mismatch: want {want_crc:#010x}, got {got_crc:#010x}"),
+        ));
+    }
+    Ok(Frame::Whole {
+        payload,
+        len: 8 + len,
+    })
+}
+
 /// Read one frame's payload, verifying its CRC. Returns `Ok(None)` on a
 /// clean EOF at a frame boundary (the peer closed the connection); any
 /// other shortfall, an oversized length, or a CRC mismatch is an error.
 pub fn read_frame(r: &mut dyn Read) -> io::Result<Option<Vec<u8>>> {
-    let mut hdr = [0u8; 8];
+    let mut buf = vec![0u8; 8];
     let mut got = 0;
-    while got < hdr.len() {
-        match r.read(&mut hdr[got..]) {
+    while got < 8 {
+        match r.read(&mut buf[got..]) {
             Ok(0) if got == 0 => return Ok(None),
             Ok(0) => {
                 return Err(io::Error::new(
@@ -298,24 +349,18 @@ pub fn read_frame(r: &mut dyn Read) -> io::Result<Option<Vec<u8>>> {
             Err(e) => return Err(e),
         }
     }
-    let len = u32::from_le_bytes(hdr[..4].try_into().unwrap()) as usize;
-    let want_crc = u32::from_le_bytes(hdr[4..].try_into().unwrap());
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds {MAX_FRAME}"),
-        ));
+    loop {
+        match parse_frame(&buf)? {
+            Frame::Whole { .. } => {
+                buf.drain(..8);
+                return Ok(Some(buf));
+            }
+            Frame::Need(n) => {
+                buf.resize(n, 0);
+                r.read_exact(&mut buf[8..])?;
+            }
+        }
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let got_crc = crc32c(&payload);
-    if got_crc != want_crc {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame CRC mismatch: want {want_crc:#010x}, got {got_crc:#010x}"),
-        ));
-    }
-    Ok(Some(payload))
 }
 
 // ---------------------------------------------------------------------------
@@ -357,6 +402,17 @@ impl<'a> Cursor<'a> {
         let v = u64::from_le_bytes(self.data[self.pos..end].try_into().unwrap());
         self.pos = end;
         Ok(v)
+    }
+
+    /// A count prefix for items of at least `min_item` bytes each. A count
+    /// the bytes left cannot hold is refused before anything is allocated
+    /// for it, so a decode never allocates more than its payload implies.
+    fn count(&mut self, what: &'static str, min_item: usize) -> Result<usize, ProtoError> {
+        let n = self.u32(what)? as usize;
+        if n.saturating_mul(min_item) > self.data.len() - self.pos {
+            return Err(ProtoError::TooLarge { what, len: n });
+        }
+        Ok(n)
     }
 
     fn bytes(&mut self, what: &'static str) -> Result<Vec<u8>, ProtoError> {
@@ -533,13 +589,8 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ProtoError> {
             key: c.bytes("delete key")?,
         },
         OP_BATCH => {
-            let n = c.u32("batch count")? as usize;
-            if n > MAX_FRAME / 5 {
-                return Err(ProtoError::TooLarge {
-                    what: "batch count",
-                    len: n,
-                });
-            }
+            // Each op is at least a tag and one length prefix.
+            let n = c.count("batch count", 5)?;
             let mut ops = Vec::with_capacity(n);
             for _ in 0..n {
                 ops.push(match c.u8("batch opcode")? {
@@ -587,13 +638,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ProtoError> {
                 1 => true,
                 t => return Err(ProtoError::BadTag(t)),
             };
-            let n = c.u32("repl write count")? as usize;
-            if n > MAX_FRAME / 5 {
-                return Err(ProtoError::TooLarge {
-                    what: "repl write count",
-                    len: n,
-                });
-            }
+            let n = c.count("repl write count", 5)?;
             let mut writes = Vec::with_capacity(n);
             for _ in 0..n {
                 writes.push(match c.u8("repl write tag")? {
@@ -618,7 +663,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ProtoError> {
         OP_SNAP_BEGIN => {
             let shard = c.u32("snap shard")?;
             let seq = c.u64("snap seq")?;
-            let n = c.u32("snap dimm count")? as usize;
+            let n = c.count("snap dimm count", 8)?;
             // A PmemDevice has a handful of DIMMs; anything large is a
             // poisoned count.
             if n > 1024 {
@@ -725,13 +770,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtoError> {
         ST_VALUE => Response::Value(c.bytes("value")?),
         ST_NOT_FOUND => Response::NotFound,
         ST_BATCH => {
-            let n = c.u32("batch reply count")? as usize;
-            if n > MAX_FRAME {
-                return Err(ProtoError::TooLarge {
-                    what: "batch reply count",
-                    len: n,
-                });
-            }
+            let n = c.count("batch reply count", 1)?;
             let mut replies = Vec::with_capacity(n);
             for _ in 0..n {
                 replies.push(match c.u8("batch reply status")? {
@@ -754,15 +793,8 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtoError> {
                 1 => true,
                 t => return Err(ProtoError::BadTag(t)),
             };
-            let n = c.u32("scan item count")? as usize;
-            // Each item costs at least two length prefixes: same
-            // poisoned-count guard as BATCH.
-            if n > MAX_FRAME / 8 {
-                return Err(ProtoError::TooLarge {
-                    what: "scan item count",
-                    len: n,
-                });
-            }
+            // Each item is at least two length prefixes.
+            let n = c.count("scan item count", 8)?;
             let mut items = Vec::with_capacity(n);
             for _ in 0..n {
                 let k = c.bytes("scan item key")?;

@@ -148,7 +148,7 @@ pub struct Replicator {
 impl Replicator {
     /// Build a replicator over an established follower connection. Call
     /// [`Replicator::start`] once the shards exist.
-    pub fn new(
+    pub(crate) fn new(
         client: KvClient,
         mode: ReplMode,
         num_shards: usize,
@@ -187,7 +187,7 @@ impl Replicator {
 
     /// Spawn the shipper: bootstrap every shard via snapshot stream, then
     /// tail-follow the round queues.
-    pub fn start(self: &Arc<Self>, handles: Vec<CaptureHandle>) {
+    pub(crate) fn start(self: &Arc<Self>, handles: Vec<CaptureHandle>) {
         let repl = self.clone();
         let h = std::thread::Builder::new()
             .name("cachekv-repl-ship".into())
@@ -199,14 +199,7 @@ impl Replicator {
     /// Called by a shard committer after round `seq` is applied locally.
     /// Never blocks beyond the state lock.
     pub fn enqueue_round(&self, shard: usize, seq: u64, writes: Vec<ReplWrite>) {
-        let bytes: u64 = writes
-            .iter()
-            .map(|w| match w {
-                ReplWrite::Put { key, value } => (key.len() + value.len() + 9) as u64,
-                ReplWrite::Delete { key } => (key.len() + 5) as u64,
-            })
-            .sum::<u64>()
-            + 16;
+        let bytes = writes.iter().map(write_wire_bytes).sum::<usize>() as u64 + 16;
         let mut st = self.state.lock();
         if st.stop || st.down {
             return;
@@ -221,19 +214,8 @@ impl Replicator {
             // grow without bound (async mode never blocks the committer on
             // acks). Declare the link down and drop the backlog — the
             // degraded local-only ack path, same as a dead link.
-            st.down = true;
-            for l in &mut st.links {
-                l.outbound.clear();
-                l.backlog_bytes = 0;
-            }
-            self.obs.repl_link_failures.inc();
-            // The dropped rounds will never ship: zero the lag gauges
-            // rather than report phantom lag forever.
-            self.obs.repl_lag_rounds.set(0);
-            self.obs.repl_lag_bytes.set(0);
             drop(st);
-            self.acked_cv.notify_all();
-            self.work.notify_all();
+            self.mark_down();
             return;
         }
         self.publish_lag(&st);
@@ -297,6 +279,8 @@ impl Replicator {
         self.obs.repl_lag_bytes.set(bytes as i64);
     }
 
+    /// Declare the link down (a failed ship or ack, or a backlog over its
+    /// cap) and release every waiter.
     fn mark_down(&self) {
         {
             let mut st = self.state.lock();
@@ -305,7 +289,7 @@ impl Replicator {
             if !st.down && !st.stop {
                 st.down = true;
                 // Nothing queued will ever ship: free the backlog and
-                // zero the lag gauges.
+                // zero the lag gauges rather than report phantom lag.
                 for l in &mut st.links {
                     l.outbound.clear();
                     l.backlog_bytes = 0;

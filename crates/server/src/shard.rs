@@ -17,10 +17,11 @@
 //! are bounded by the primary's backlog cap.
 
 use crate::cache::{key_hash, HotCache};
+use crate::event_loop::EventConn;
 use crate::obs::ServerObs;
-use crate::protocol::{BatchReply, ReplWrite, Response};
+use crate::protocol::{BatchOp, BatchReply, ReplWrite, Response};
 use crate::repl::{ReplMode, Replicator};
-use crate::server::{AdmitPermit, ReplySender};
+use crate::server::AdmitPermit;
 use cachekv_lsm::KvStore;
 use cachekv_obs::{Counter, Gauge, Histogram};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -30,48 +31,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// One operation inside a submission (already routed to this shard).
-#[derive(Debug, Clone)]
-pub enum SubOp {
-    Put {
-        key: Vec<u8>,
-        value: Vec<u8>,
-    },
-    Delete {
-        key: Vec<u8>,
-    },
-    /// Batch gets ride the queue so a batch observes its own prior writes
-    /// on the same shard (top-level GETs never enter the queue).
-    Get {
-        key: Vec<u8>,
-    },
-}
-
-/// One op's outcome, mirrored into the wire reply.
-#[derive(Debug, Clone)]
-pub enum SubResult {
-    Ok,
-    Value(Vec<u8>),
-    NotFound,
-    Err(String),
-}
-
-impl From<SubResult> for BatchReply {
-    fn from(r: SubResult) -> BatchReply {
-        match r {
-            SubResult::Ok => BatchReply::Ok,
-            SubResult::Value(v) => BatchReply::Value(v),
-            SubResult::NotFound => BatchReply::NotFound,
-            SubResult::Err(e) => BatchReply::Err(e),
-        }
-    }
-}
-
 /// Accumulates a cross-shard BATCH: each shard's part fills its slots; the
 /// last part to finish sends the combined response.
-pub struct BatchAcc {
+pub(crate) struct BatchAcc {
     id: u64,
-    reply: ReplySender,
+    reply: Arc<EventConn>,
     slots: Mutex<Vec<Option<BatchReply>>>,
     remaining: AtomicUsize,
     started: Instant,
@@ -83,9 +47,9 @@ pub struct BatchAcc {
 }
 
 impl BatchAcc {
-    pub fn new(
+    pub(crate) fn new(
         id: u64,
-        reply: ReplySender,
+        reply: Arc<EventConn>,
         total_ops: usize,
         parts: usize,
         obs: Arc<ServerObs>,
@@ -104,11 +68,11 @@ impl BatchAcc {
 
     /// Record one shard part's results (`slots[i]` ↔ `results[i]`) and send
     /// the response if this was the last outstanding part.
-    fn complete_part(&self, slot_idx: &[usize], results: Vec<SubResult>) {
+    fn complete_part(&self, slot_idx: &[usize], results: Vec<BatchReply>) {
         {
             let mut slots = self.slots.lock();
             for (i, r) in slot_idx.iter().zip(results) {
-                slots[*i] = Some(r.into());
+                slots[*i] = Some(r);
             }
         }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -127,11 +91,11 @@ impl BatchAcc {
 }
 
 /// How a completed submission reports back to its connection.
-pub enum Ack {
+pub(crate) enum Ack {
     /// A single PUT/DELETE: reply `Ok`/`Err` after the commit round.
     Single {
         id: u64,
-        reply: ReplySender,
+        reply: Arc<EventConn>,
         started: Instant,
         latency: Arc<Histogram>,
     },
@@ -147,7 +111,7 @@ pub enum Ack {
     /// so the primary's quorum rule holds transitively.
     Repl {
         id: u64,
-        reply: ReplySender,
+        reply: Arc<EventConn>,
         /// The primary's round sequence number.
         seq: u64,
         /// The follower shard's applied watermark (shared with dispatch).
@@ -157,15 +121,17 @@ pub enum Ack {
     },
 }
 
-/// One unit on the submission queue: the ops plus their ack route.
-pub struct Submission {
-    pub ops: Vec<SubOp>,
-    pub ack: Ack,
+/// One unit on the submission queue: the ops plus their ack route. Batch
+/// gets ride the queue too, so a batch observes its own prior writes on
+/// the same shard (top-level GETs never enter the queue).
+pub(crate) struct Submission {
+    pub(crate) ops: Vec<BatchOp>,
+    pub(crate) ack: Ack,
     /// Admission budget held while this submission is in flight; released
     /// (by drop) after the commit round sends its ack. `None` for
     /// replicated rounds (shedding one would gap the stream) and for
     /// batch parts (the whole batch's permit lives in [`BatchAcc`]).
-    pub permit: Option<AdmitPermit>,
+    pub(crate) permit: Option<AdmitPermit>,
 }
 
 struct ShardQueue {
@@ -201,8 +167,10 @@ struct ShardInner {
     repl: Option<Arc<Replicator>>,
 }
 
-/// A store shard plus its committer thread.
-pub struct Shard {
+/// A store shard plus its committer thread. Dropping it stops the
+/// committer after draining: everything already accepted is committed and
+/// acked before the thread exits.
+pub(crate) struct Shard {
     inner: Arc<ShardInner>,
     committer: Option<JoinHandle<()>>,
 }
@@ -211,7 +179,7 @@ impl Shard {
     /// Spawn the committer for `store`. `commit_max` caps submissions per
     /// group-commit round. `repl` hooks
     /// every committed round into primary-side replication.
-    pub fn spawn(
+    pub(crate) fn spawn(
         index: usize,
         store: Arc<dyn KvStore>,
         commit_max: usize,
@@ -254,26 +222,26 @@ impl Shard {
     }
 
     /// Direct read access for the inline (non-queued) GET path.
-    pub fn store(&self) -> Arc<dyn KvStore> {
+    pub(crate) fn store(&self) -> Arc<dyn KvStore> {
         self.inner.store.read().clone()
     }
 
     /// Swap in a new store (follower bootstrap install). The caller must
     /// first drain the queue ([`Shard::wait_idle_and_quiesce`]) so no
     /// submission straddles the swap.
-    pub fn replace_store(&self, store: Arc<dyn KvStore>) {
+    pub(crate) fn replace_store(&self, store: Arc<dyn KvStore>) {
         *self.inner.store.write() = store;
     }
 
     /// The shard's committed round sequence number (rounds `1..=seq` are
     /// fully applied).
-    pub fn round_seq(&self) -> u64 {
+    pub(crate) fn round_seq(&self) -> u64 {
         self.inner.round_seq.load(Ordering::Acquire)
     }
 
     /// A cloneable handle the replication shipper uses to capture a
     /// round-boundary-consistent media image.
-    pub fn capture_handle(&self) -> CaptureHandle {
+    pub(crate) fn capture_handle(&self) -> CaptureHandle {
         CaptureHandle {
             inner: self.inner.clone(),
         }
@@ -282,7 +250,7 @@ impl Shard {
     /// Enqueue a submission; never blocks (the admission budget bounds
     /// what reaches the queue). Returns `false` only if the shard is
     /// shutting down.
-    pub fn submit(&self, sub: Submission) -> bool {
+    pub(crate) fn submit(&self, sub: Submission) -> bool {
         let inner = &self.inner;
         let mut q = inner.q.lock();
         if inner.stop.load(Ordering::Acquire) {
@@ -299,7 +267,7 @@ impl Shard {
     /// Block until every accepted submission has been committed and acked,
     /// then quiesce the store (flushes, compactions). The wire form is
     /// `PING(sync)`.
-    pub fn wait_idle_and_quiesce(&self) {
+    pub(crate) fn wait_idle_and_quiesce(&self) {
         let inner = &self.inner;
         {
             let mut q = inner.q.lock();
@@ -308,21 +276,6 @@ impl Shard {
             }
         }
         inner.store.read().clone().quiesce();
-    }
-
-    /// Current queue depth (tests / stats).
-    pub fn queue_len(&self) -> usize {
-        self.inner.q.lock().items.len()
-    }
-
-    /// Stop the committer *after* draining: everything already accepted is
-    /// committed and acked before the thread exits.
-    pub fn shutdown(mut self) {
-        self.inner.stop.store(true, Ordering::Release);
-        self.inner.not_empty.notify_all();
-        if let Some(h) = self.committer.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -340,13 +293,13 @@ impl Drop for Shard {
 /// rounds, for replication snapshot bootstrap. Cloneable; safe to call
 /// while the committer runs.
 #[derive(Clone)]
-pub struct CaptureHandle {
+pub(crate) struct CaptureHandle {
     inner: Arc<ShardInner>,
 }
 
 impl CaptureHandle {
     /// The shard index this handle captures.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         self.inner.index
     }
 
@@ -355,7 +308,7 @@ impl CaptureHandle {
     /// at the current round boundary. Returns `(round_seq, image)`: the
     /// image contains exactly rounds `1..=round_seq`. `None` if the store
     /// has no capturable device.
-    pub fn capture(&self) -> Option<(u64, Vec<Vec<u8>>)> {
+    pub(crate) fn capture(&self) -> Option<(u64, Vec<Vec<u8>>)> {
         let _gate = self.inner.write_gate.lock();
         let seq = self.inner.round_seq.load(Ordering::Acquire);
         let store = self.inner.store.read().clone();
@@ -383,6 +336,21 @@ fn committer_loop(inner: &Arc<ShardInner>) {
     }
 }
 
+/// Apply one op to `store`; an engine error becomes that op's reply.
+fn apply(store: &dyn KvStore, op: &BatchOp, obs: &ServerObs) -> BatchReply {
+    let res = match op {
+        BatchOp::Put { key, value } => store.put(key, value).map(|()| BatchReply::Ok),
+        BatchOp::Delete { key } => store.delete(key).map(|()| BatchReply::Ok),
+        BatchOp::Get { key } => store
+            .get(key)
+            .map(|v| v.map_or(BatchReply::NotFound, BatchReply::Value)),
+    };
+    res.unwrap_or_else(|e| {
+        obs.errors.inc();
+        BatchReply::Err(e.to_string())
+    })
+}
+
 /// Apply one batch of submissions, then ack them all: the group commit.
 fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
     let _ctx = cachekv_pmem::fault_context("server::group_commit");
@@ -394,11 +362,9 @@ fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
     // risk serving a value the engine has already superseded.
     let write_hashes: Vec<u64> = batch
         .iter()
-        .flat_map(|sub| sub.ops.iter())
-        .filter_map(|op| match op {
-            SubOp::Put { key, .. } | SubOp::Delete { key } => Some(key_hash(key)),
-            SubOp::Get { .. } => None,
-        })
+        .flat_map(|sub| &sub.ops)
+        .filter(|op| !matches!(op, BatchOp::Get { .. }))
+        .map(|op| key_hash(op.key()))
         .collect();
     let round = inner.cache.round_begin(inner.index, &write_hashes);
     // The write gate spans apply + round-seq assignment + replication
@@ -407,61 +373,38 @@ fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
     // released before any wait below, so sync-mode replication stalls
     // never block a capture.
     let gate = inner.write_gate.lock();
-    let mut entries = 0u64;
-    let mut results: Vec<Vec<SubResult>> = Vec::with_capacity(batch.len());
-    for sub in &batch {
-        let rs = sub
-            .ops
-            .iter()
-            .map(|op| {
-                entries += 1;
-                match op {
-                    SubOp::Put { key, value } => match store.put(key, value) {
-                        Ok(()) => SubResult::Ok,
-                        Err(e) => {
-                            obs.errors.inc();
-                            SubResult::Err(e.to_string())
-                        }
-                    },
-                    SubOp::Delete { key } => match store.delete(key) {
-                        Ok(()) => SubResult::Ok,
-                        Err(e) => {
-                            obs.errors.inc();
-                            SubResult::Err(e.to_string())
-                        }
-                    },
-                    SubOp::Get { key } => match store.get(key) {
-                        Ok(Some(v)) => SubResult::Value(v),
-                        Ok(None) => SubResult::NotFound,
-                        Err(e) => {
-                            obs.errors.inc();
-                            SubResult::Err(e.to_string())
-                        }
-                    },
-                }
-            })
-            .collect();
-        results.push(rs);
-    }
+    let results: Vec<Vec<BatchReply>> = batch
+        .iter()
+        .map(|sub| sub.ops.iter().map(|op| apply(&*store, op, obs)).collect())
+        .collect();
+    // The round's applied write-set (`None` value = delete), the one
+    // source both replication and cache publication read. Failed writes
+    // are left out: they never ship, and their cached entries fail
+    // round-log revalidation instead (conservative miss).
+    let applied: Vec<(&[u8], Option<&[u8]>)> = batch
+        .iter()
+        .zip(&results)
+        .flat_map(|(sub, rs)| sub.ops.iter().zip(rs))
+        .filter_map(|(op, r)| match (op, r) {
+            (BatchOp::Put { key, value }, BatchReply::Ok) => Some((&key[..], Some(&value[..]))),
+            (BatchOp::Delete { key }, BatchReply::Ok) => Some((&key[..], None)),
+            _ => None,
+        })
+        .collect();
     // The round is applied: assign its sequence number and hand the
-    // successful write-set to the replicator (still under the gate, so a
-    // capture at seq S provably contains every enqueued round <= S).
+    // write-set to the replicator (still under the gate, so a capture at
+    // seq S provably contains every enqueued round <= S).
     let seq = inner.round_seq.fetch_add(1, Ordering::AcqRel) + 1;
     inner.seq_gauge.set(seq as i64);
     if let Some(repl) = &inner.repl {
-        let writes: Vec<ReplWrite> = batch
+        let writes = applied
             .iter()
-            .zip(&results)
-            .flat_map(|(sub, rs)| sub.ops.iter().zip(rs))
-            .filter_map(|(op, r)| match (op, r) {
-                (SubOp::Put { key, value }, SubResult::Ok) => Some(ReplWrite::Put {
-                    key: key.clone(),
-                    value: value.clone(),
-                }),
-                (SubOp::Delete { key }, SubResult::Ok) => {
-                    Some(ReplWrite::Delete { key: key.clone() })
-                }
-                _ => None,
+            .map(|&(key, value)| match value {
+                Some(value) => ReplWrite::Put {
+                    key: key.to_vec(),
+                    value: value.to_vec(),
+                },
+                None => ReplWrite::Delete { key: key.to_vec() },
             })
             .collect();
         // Empty rounds ship too: the follower's gap check needs the seq
@@ -472,24 +415,12 @@ fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
     // Round publication: push the applied values into (or delete them
     // from) every cache replica and return the epoch to quiescent. This
     // must complete before any ack below — that is what makes an acked
-    // write unshadowable by a stale cached value. Failed writes are left
-    // out: their cached entries fail round-log revalidation instead
-    // (conservative miss).
+    // write unshadowable by a stale cached value.
     if let Some(token) = round {
-        let writes: Vec<(&[u8], Option<&[u8]>)> = batch
-            .iter()
-            .zip(&results)
-            .flat_map(|(sub, rs)| sub.ops.iter().zip(rs))
-            .filter_map(|(op, r)| match (op, r) {
-                (SubOp::Put { key, value }, SubResult::Ok) => {
-                    Some((key.as_slice(), Some(value.as_slice())))
-                }
-                (SubOp::Delete { key }, SubResult::Ok) => Some((key.as_slice(), None)),
-                _ => None,
-            })
-            .collect();
-        inner.cache.round_publish(token, &writes);
+        inner.cache.round_publish(token, &applied);
     }
+    // It borrows `batch`, which the acks below consume.
+    drop(applied);
     // Quorum gate: in sync mode the ack additionally waits for the
     // follower to apply this round. A degraded return (link down) falls
     // back to local-only acks — counted, never silent.
@@ -502,7 +433,8 @@ fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
     // eADR) — and, in sync mode, applied on the follower. Only now are
     // acks released.
     obs.group_commits.inc();
-    obs.batch_size.record(entries);
+    obs.batch_size
+        .record(batch.iter().map(|sub| sub.ops.len() as u64).sum());
     let acked = batch.len();
     for (sub, rs) in batch.into_iter().zip(results) {
         match sub.ack {
@@ -513,8 +445,8 @@ fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
                 latency,
             } => {
                 latency.record(started.elapsed().as_nanos() as u64);
-                let resp = match rs.first() {
-                    Some(SubResult::Err(e)) => Response::Err(e.clone()),
+                let resp = match rs.into_iter().next() {
+                    Some(BatchReply::Err(e)) => Response::Err(e),
                     _ => Response::Ok,
                 };
                 reply.send(id, &resp);
@@ -528,8 +460,8 @@ fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
                 applied_gauge,
                 rounds_applied,
             } => {
-                let err = rs.iter().find_map(|r| match r {
-                    SubResult::Err(e) => Some(e.clone()),
+                let err = rs.into_iter().find_map(|r| match r {
+                    BatchReply::Err(e) => Some(e),
                     _ => None,
                 });
                 match err {
@@ -546,6 +478,8 @@ fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
                 }
             }
         }
+        // Acked: the write's admission budget is free again.
+        drop(sub.permit);
     }
     let mut q = inner.q.lock();
     q.in_flight -= acked;

@@ -12,7 +12,9 @@ use cachekv_cache::{CacheConfig, Hierarchy};
 use cachekv_lsm::KvStore;
 use cachekv_obs::Json;
 use cachekv_pmem::{LatencyConfig, PmemConfig, PmemDevice};
-use cachekv_server::protocol::{decode_response, encode_request, read_frame, write_frame};
+use cachekv_server::protocol::{
+    decode_response, encode_request, read_frame, write_frame, MAX_FRAME,
+};
 use cachekv_server::{
     ClientError, Connection, Connector, KvClient, KvServer, LoopbackTransport, Request, Response,
     ServerConfig, TcpTransport,
@@ -460,6 +462,72 @@ fn io_threads_zero_is_served_as_one_and_loopback_runs_on_an_io_thread() {
     assert!(matches!(adm.get("transport"), Some(Json::Str(t)) if t == "loopback"));
     assert_eq!(server.obs().conns.get(), 1);
     assert_eq!(server.obs().accepts.get(), 1);
+    c.close();
+    server.shutdown();
+}
+
+/// The frame rules on the serving path: a payload that frames correctly
+/// but does not decode gets an error reply and the connection lives on; a
+/// CRC mismatch or an over-cap length closes the connection (the peer sees
+/// EOF), never the server.
+#[test]
+fn corrupt_frames_close_the_connection_bad_payloads_do_not() {
+    let (server, dial) = start(Wire::Loopback, engine_shards(1), ServerConfig::default());
+    let reply = |sock: &mut &cachekv_server::Socket| {
+        let payload = read_frame(sock).unwrap().expect("reply, not EOF");
+        decode_response(&payload).unwrap()
+    };
+
+    let conn = dial();
+    let mut sock = &conn.socket;
+    // Valid frame, unknown opcode: an error reply, then the same
+    // connection still serves.
+    let mut bad_op = 7u64.to_le_bytes().to_vec();
+    bad_op.push(0xEE);
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &bad_op).unwrap();
+    write_frame(
+        &mut wire,
+        &encode_request(8, &Request::Ping { sync: false }),
+    )
+    .unwrap();
+    sock.write_all(&wire).unwrap();
+    match reply(&mut sock) {
+        (7, Response::Err(e)) => assert!(e.contains("bad request"), "wrong error: {e}"),
+        other => panic!("undecodable payload answered {other:?}"),
+    }
+    assert_eq!(reply(&mut sock), (8, Response::Ok));
+
+    // One flipped payload bit: the CRC fails and the connection closes.
+    let mut wire = Vec::new();
+    write_frame(
+        &mut wire,
+        &encode_request(9, &Request::Ping { sync: false }),
+    )
+    .unwrap();
+    let n = wire.len();
+    wire[n - 1] ^= 0x01;
+    sock.write_all(&wire).unwrap();
+    assert!(
+        read_frame(&mut sock).unwrap().is_none(),
+        "CRC mismatch served"
+    );
+
+    // A length over MAX_FRAME closes the connection as soon as the header
+    // is in, before any payload arrives.
+    let conn = dial();
+    let mut sock = &conn.socket;
+    let mut header = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
+    header.extend_from_slice(&0u32.to_le_bytes());
+    sock.write_all(&header).unwrap();
+    assert!(
+        read_frame(&mut sock).unwrap().is_none(),
+        "oversized frame served"
+    );
+
+    // The server is unharmed.
+    let c = KvClient::connect(dial());
+    c.ping(false).unwrap();
     c.close();
     server.shutdown();
 }

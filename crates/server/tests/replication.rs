@@ -602,6 +602,85 @@ fn round_ordering_duplicates_ack_gaps_trip() {
     follower.shutdown();
 }
 
+/// One gate for every replication frame: on the registered link, each of
+/// REPL_ROUND, SNAP_BEGIN, SNAP_CHUNK and SNAP_END naming a shard this
+/// follower lacks is refused and counted as a tripwire, and the follower
+/// keeps serving.
+#[test]
+fn unknown_shard_trips_every_replication_frame_kind() {
+    let transport = LoopbackTransport::new();
+    let (factory, rebuilt) = recovery_factory();
+    let follower = KvServer::start_follower(
+        fresh_stores(SHARDS),
+        transport.clone(),
+        server_cfg(),
+        factory,
+    );
+    let link = KvClient::connect(transport.connect().unwrap());
+    register_repl(&link);
+
+    let shard = SHARDS as u32;
+    let k = key_routed_to(0, "parity");
+    let frames = [
+        Request::ReplRound {
+            shard,
+            seq: 1,
+            frag: 0,
+            last: true,
+            writes: vec![ReplWrite::Put {
+                key: k.clone(),
+                value: b"v".to_vec(),
+            }],
+        },
+        Request::SnapBegin {
+            shard,
+            seq: 1,
+            dimm_sizes: vec![64],
+            crc: 0,
+        },
+        Request::SnapChunk {
+            shard,
+            offset: 0,
+            data: vec![0; 64],
+        },
+        Request::SnapEnd {
+            shard,
+            total_len: 64,
+        },
+    ];
+    for req in &frames {
+        match link.submit(req).unwrap().wait().unwrap() {
+            Response::Err(e) => assert!(e.contains("no such shard"), "wrong refusal: {e}"),
+            other => panic!("frame for a missing shard accepted: {other:?}"),
+        }
+    }
+    assert_eq!(follower.obs().repl_tripwire.get(), 4);
+    assert!(rebuilt.lock().unwrap().is_empty());
+
+    // Still a working follower: GETs answer, and a real shard's round
+    // applies on the same link.
+    let probe = KvClient::connect(transport.connect().unwrap());
+    assert_eq!(probe.get(&k).unwrap(), None);
+    expect_ok(
+        &link,
+        &Request::ReplRound {
+            shard: 0,
+            seq: 1,
+            frag: 0,
+            last: true,
+            writes: vec![ReplWrite::Put {
+                key: k.clone(),
+                value: b"v".to_vec(),
+            }],
+        },
+    );
+    assert_eq!(probe.get(&k).unwrap(), Some(b"v".to_vec()));
+
+    link.close();
+    probe.close();
+    follower.shutdown();
+}
+
 #[test]
 fn promote_flips_role_bumps_epoch_and_enables_writes() {
     let transport = LoopbackTransport::new();
