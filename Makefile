@@ -13,9 +13,10 @@ clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 # Rustdoc with warnings denied: an intra-doc link to a renamed, deleted or
-# private item fails the build instead of dangling.
+# private item fails the build instead of dangling. Private items are
+# documented too, so links inside private modules are checked as well.
 doc:
-	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps --offline
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps --offline --document-private-items
 
 build:
 	$(CARGO) build --release
@@ -70,8 +71,8 @@ bench:
 	$(CARGO) bench --workspace
 
 # Code lines per crate and per file of crates/server/src (comments, blank
-# lines and everything from a file's first `#[cfg(test)]` on are not
-# counted; see scripts/loc.sh). The kLoC figures in ROADMAP.md use it.
+# lines and `#[cfg(test)]` items are not counted; see scripts/loc.sh). The
+# kLoC figures in ROADMAP.md use it.
 loc:
 	@sh scripts/loc.sh
 

@@ -10,11 +10,10 @@
 //! Keys are bounded at [`MAX_KEY`] bytes (workload keys are 16 B); values
 //! are fixed 16-byte payloads (SLM-DB stores KV *locations*, not bytes).
 
-use cachekv_lsm::kv::{Error, Result};
-use cachekv_lsm::{MemSpace, PmemSpace};
+use cachekv_lsm::{Error, MemSpace, PmemSpace, Result};
 
 /// Maximum key length storable in a node slot.
-pub const MAX_KEY: usize = 24;
+pub(crate) const MAX_KEY: usize = 24;
 /// Fixed value payload size.
 pub const VAL: usize = 16;
 /// Keys per node.
@@ -29,7 +28,7 @@ const HDR: usize = 8; // [is_leaf u8][count u8][pad u16][next_leaf u32]
 const KEYS_OFF: usize = HDR;
 const PAYLOAD_OFF: usize = HDR + FANOUT * KEY_SLOT;
 
-/// Region header: [magic u32][root u32][next_free u32][pad].
+/// Region header: `[magic u32][root u32][next_free u32][pad]`.
 const META_MAGIC: u32 = 0xB7EE_0001;
 
 #[derive(Clone)]

@@ -7,31 +7,31 @@ use std::time::Instant;
 #[derive(Debug, Default)]
 pub struct WriteBreakdown {
     /// Waiting on the shared MemTable mutex.
-    pub lock_wait_ns: AtomicU64,
+    pub(crate) lock_wait_ns: AtomicU64,
     /// Updating the index structure (skiplist / B+-tree).
-    pub index_update_ns: AtomicU64,
+    pub(crate) index_update_ns: AtomicU64,
     /// Appending KV bytes to the MemTable data region (incl. flushes).
-    pub data_write_ns: AtomicU64,
+    pub(crate) data_write_ns: AtomicU64,
     /// Everything else (rotation, table builds, bookkeeping).
-    pub other_ns: AtomicU64,
+    pub(crate) other_ns: AtomicU64,
     /// Number of writes measured.
-    pub writes: AtomicU64,
+    pub(crate) writes: AtomicU64,
 }
 
 /// A point-in-time copy, with ratio helpers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BreakdownSnapshot {
-    pub lock_wait_ns: u64,
-    pub index_update_ns: u64,
-    pub data_write_ns: u64,
-    pub other_ns: u64,
-    pub writes: u64,
+    pub(crate) lock_wait_ns: u64,
+    pub(crate) index_update_ns: u64,
+    pub(crate) data_write_ns: u64,
+    pub(crate) other_ns: u64,
+    pub(crate) writes: u64,
 }
 
 impl WriteBreakdown {
     /// Time `f` and charge its duration to `counter`.
     #[inline]
-    pub fn timed<T>(counter: &AtomicU64, f: impl FnOnce() -> T) -> T {
+    pub(crate) fn timed<T>(counter: &AtomicU64, f: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
         let out = f();
         counter.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -40,7 +40,7 @@ impl WriteBreakdown {
 
     /// Record one completed write.
     #[inline]
-    pub fn count_write(&self) {
+    pub(crate) fn count_write(&self) {
         self.writes.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -54,26 +54,17 @@ impl WriteBreakdown {
             writes: self.writes.load(Ordering::Relaxed),
         }
     }
-
-    /// Reset all counters.
-    pub fn reset(&self) {
-        self.lock_wait_ns.store(0, Ordering::Relaxed);
-        self.index_update_ns.store(0, Ordering::Relaxed);
-        self.data_write_ns.store(0, Ordering::Relaxed);
-        self.other_ns.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-    }
 }
 
 impl BreakdownSnapshot {
     /// Total measured nanoseconds.
-    pub fn total_ns(&self) -> u64 {
+    pub(crate) fn total_ns(&self) -> u64 {
         self.lock_wait_ns + self.index_update_ns + self.data_write_ns + self.other_ns
     }
 
     /// Export as registry-style metrics under the `write.` namespace, for
     /// snapshot parity with CacheKV's phase counters.
-    pub fn export_into(&self, out: &mut cachekv_obs::MetricsExport) {
+    pub(crate) fn export_into(&self, out: &mut cachekv_obs::MetricsExport) {
         out.insert_counter("write.lock_wait_ns", self.lock_wait_ns);
         out.insert_counter("write.index_update_ns", self.index_update_ns);
         out.insert_counter("write.data_write_ns", self.data_write_ns);

@@ -17,23 +17,22 @@
 //! synchronous index updates) as the post-eADR bottleneck, so the contention
 //! here is real, not simulated.
 
-pub mod bptree;
-pub mod breakdown;
-pub mod novelsm;
-pub mod pmem_memtable;
-pub mod slmdb;
+mod bptree;
+mod breakdown;
+mod novelsm;
+mod pmem_memtable;
+mod slmdb;
 
-pub use bptree::BpTree;
-pub use breakdown::WriteBreakdown;
+pub use bptree::{BpTree, VAL};
+pub use breakdown::{BreakdownSnapshot, WriteBreakdown};
 pub use novelsm::NoveLsm;
-pub use pmem_memtable::PmemMemTable;
 pub use slmdb::SlmDb;
 
 use cachekv_lsm::FlushMode;
 
 /// How a baseline uses the persistent caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheUse {
+pub(crate) enum CacheUse {
     /// MemTable lives in PMem behind the (unlocked) cache: the vanilla and
     /// `-w/o-flush` deployments.
     None,
@@ -46,13 +45,13 @@ pub enum CacheUse {
 #[derive(Debug, Clone)]
 pub struct BaselineOptions {
     /// Per-write durability discipline for PMem-resident structures.
-    pub flush_mode: FlushMode,
+    pub(crate) flush_mode: FlushMode,
     /// Whether the MemTable data region rides in CAT-locked cache segments.
-    pub cache_use: CacheUse,
+    pub(crate) cache_use: CacheUse,
     /// MemTable rotation threshold (data bytes).
-    pub memtable_bytes: u64,
+    pub(crate) memtable_bytes: u64,
     /// Segment size for [`CacheUse::LockedSegments`] (12 MiB in the paper).
-    pub segment_bytes: u64,
+    pub(crate) segment_bytes: u64,
 }
 
 impl BaselineOptions {

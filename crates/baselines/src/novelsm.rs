@@ -17,10 +17,10 @@ use crate::breakdown::WriteBreakdown;
 use crate::pmem_memtable::PmemMemTable;
 use crate::{BaselineOptions, CacheUse};
 use cachekv_cache::Hierarchy;
-use cachekv_lsm::kv::{pack_meta, EntryKind, Error, KvStore, Result};
-use cachekv_lsm::memtable::Lookup;
-use cachekv_lsm::tree::PmemLayout;
-use cachekv_lsm::{FlushMode, StorageComponent, StorageConfig};
+use cachekv_lsm::{
+    pack_meta, EntryKind, Error, FlushMode, KvStore, Lookup, PmemLayout, Result, StorageComponent,
+    StorageConfig,
+};
 use cachekv_storage::PmemAllocator;
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
@@ -70,37 +70,6 @@ impl NoveLsm {
             breakdown: WriteBreakdown::default(),
             name,
         }
-    }
-
-    /// Vanilla NoveLSM: PMem MemTable, `clflush` per write.
-    pub fn vanilla(hier: Arc<Hierarchy>, memtable_bytes: u64, storage: StorageConfig) -> Self {
-        Self::new(
-            hier,
-            BaselineOptions::vanilla().with_memtable_bytes(memtable_bytes),
-            storage,
-        )
-    }
-
-    /// `NoveLSM-w/o-flush`.
-    pub fn without_flush(
-        hier: Arc<Hierarchy>,
-        memtable_bytes: u64,
-        storage: StorageConfig,
-    ) -> Self {
-        Self::new(
-            hier,
-            BaselineOptions::without_flush().with_memtable_bytes(memtable_bytes),
-            storage,
-        )
-    }
-
-    /// `NoveLSM-cache`.
-    pub fn cache(hier: Arc<Hierarchy>, memtable_bytes: u64, storage: StorageConfig) -> Self {
-        Self::new(
-            hier,
-            BaselineOptions::cache().with_memtable_bytes(memtable_bytes),
-            storage,
-        )
     }
 
     fn fresh_memtable(
@@ -180,11 +149,6 @@ impl NoveLsm {
     pub fn breakdown(&self) -> &WriteBreakdown {
         &self.breakdown
     }
-
-    /// The storage component (tests / reporting).
-    pub fn storage(&self) -> &StorageComponent {
-        &self.storage
-    }
 }
 
 impl KvStore for NoveLsm {
@@ -239,6 +203,37 @@ impl KvStore for NoveLsm {
 impl NoveLsm {
     fn hier_regions(&self) -> usize {
         self.hier.cat_regions().len()
+    }
+
+    /// Vanilla NoveLSM: PMem MemTable, `clflush` per write.
+    pub(crate) fn vanilla(
+        hier: Arc<Hierarchy>,
+        memtable_bytes: u64,
+        storage: StorageConfig,
+    ) -> Self {
+        Self::new(
+            hier,
+            BaselineOptions::vanilla().with_memtable_bytes(memtable_bytes),
+            storage,
+        )
+    }
+
+    /// `NoveLSM-w/o-flush`.
+    pub(crate) fn without_flush(
+        hier: Arc<Hierarchy>,
+        memtable_bytes: u64,
+        storage: StorageConfig,
+    ) -> Self {
+        Self::new(
+            hier,
+            BaselineOptions::without_flush().with_memtable_bytes(memtable_bytes),
+            storage,
+        )
+    }
+
+    /// The storage component (tests / reporting).
+    pub(crate) fn storage(&self) -> &StorageComponent {
+        &self.storage
     }
 }
 

@@ -8,19 +8,17 @@
 //! data region into a CAT-locked cache segment.
 
 use cachekv_cache::Hierarchy;
-use cachekv_lsm::kv::{
-    decode_record_at, encode_record_into, meta_kind, record_len, Entry, EntryKind, Error, Result,
-    RECORD_HDR,
+use cachekv_lsm::{
+    decode_record_at, encode_record_into, meta_kind, record_len, Entry, EntryKind, FlushMode,
+    Lookup, MemSpace, PmemSpace, Result, SkipList, RECORD_HDR,
 };
-use cachekv_lsm::memtable::Lookup;
-use cachekv_lsm::{FlushMode, MemSpace, PmemSpace, SkipList};
 use std::sync::Arc;
 
 /// Persistent data log + persistent skiplist index.
 ///
 /// Externally synchronized (callers hold the store mutex — the contention
 /// the paper measures).
-pub struct PmemMemTable {
+pub(crate) struct PmemMemTable {
     hier: Arc<Hierarchy>,
     data_base: u64,
     data_cap: u64,
@@ -38,7 +36,7 @@ impl PmemMemTable {
     /// `index` (the skiplist arena). If `lock_data_in_cache` is set, the
     /// data region is pinned with CAT and per-write flushes are skipped for
     /// it (the whole segment is flushed at rotation instead).
-    pub fn new(
+    pub(crate) fn new(
         hier: Arc<Hierarchy>,
         data: (u64, u64),
         index: (u64, u64),
@@ -63,38 +61,13 @@ impl PmemMemTable {
     }
 
     /// Whether another `record_len` bytes fit.
-    pub fn has_room(&self, key_len: usize, value_len: usize) -> bool {
+    pub(crate) fn has_room(&self, key_len: usize, value_len: usize) -> bool {
         self.tail + record_len(key_len, value_len) as u64 <= self.data_cap
-    }
-
-    /// Bytes of data-log space consumed.
-    pub fn data_used(&self) -> u64 {
-        self.tail
-    }
-
-    /// Number of records inserted.
-    pub fn len(&self) -> usize {
-        self.entries
-    }
-
-    /// True when no records were inserted.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
-    /// Append a record and index it. Returns `Err(OutOfSpace)` when either
-    /// the data region or the index arena is exhausted (rotation time).
-    pub fn insert(&mut self, key: &[u8], meta: u64, value: &[u8]) -> Result<()> {
-        if !self.has_room(key.len(), value.len()) {
-            return Err(Error::OutOfSpace("pmem memtable data region".into()));
-        }
-        let off = self.append_data(key, meta, value);
-        self.update_index(key, meta, off)
     }
 
     /// Stage 1: append the KV record to the persistent data log. Public so
     /// the store can time it separately (Figure 5(b) instrumentation).
-    pub fn append_data(&mut self, key: &[u8], meta: u64, value: &[u8]) -> u64 {
+    pub(crate) fn append_data(&mut self, key: &[u8], meta: u64, value: &[u8]) -> u64 {
         let off = self.tail;
         self.scratch.clear();
         encode_record_into(&mut self.scratch, key, meta, value);
@@ -119,14 +92,14 @@ impl PmemMemTable {
     }
 
     /// Stage 2: insert `key → record offset` into the persistent skiplist.
-    pub fn update_index(&mut self, key: &[u8], meta: u64, off: u64) -> Result<()> {
+    pub(crate) fn update_index(&mut self, key: &[u8], meta: u64, off: u64) -> Result<()> {
         self.index.insert(key, meta, &off.to_le_bytes())?;
         self.entries += 1;
         Ok(())
     }
 
     /// Probe for the newest version of `key`.
-    pub fn get(&self, key: &[u8]) -> Lookup {
+    pub(crate) fn get(&self, key: &[u8]) -> Lookup {
         match self.index.get_latest(key) {
             None => Lookup::NotFound,
             Some((meta, refbytes)) => match meta_kind(meta) {
@@ -156,7 +129,7 @@ impl PmemMemTable {
     }
 
     /// All entries in internal (flush) order.
-    pub fn entries(&self) -> Vec<Entry> {
+    pub(crate) fn entries(&self) -> Vec<Entry> {
         self.index
             .iter()
             .map(|e| {
@@ -173,7 +146,7 @@ impl PmemMemTable {
 
     /// Rotate out: flush the data segment if it was cache-locked, release
     /// the CAT region, and hand back sorted entries.
-    pub fn seal(&mut self) -> Vec<Entry> {
+    pub(crate) fn seal(&mut self) -> Vec<Entry> {
         let out = self.entries();
         if self.locked {
             // Write the whole segment back with flush instructions, in
@@ -187,7 +160,7 @@ impl PmemMemTable {
     }
 
     /// Regions backing this table: `(data, index)` as `(base, len)` pairs.
-    pub fn regions(&self) -> ((u64, u64), (u64, u64)) {
+    pub(crate) fn regions(&self) -> ((u64, u64), (u64, u64)) {
         (
             (self.data_base, self.data_cap),
             (self.index.space().base(), self.index.space().capacity()),
@@ -204,10 +177,25 @@ impl Drop for PmemMemTable {
 }
 
 #[cfg(test)]
+impl PmemMemTable {
+    /// Append a record and index it. Returns `Err(OutOfSpace)` when either
+    /// the data region or the index arena is exhausted (rotation time).
+    pub(crate) fn insert(&mut self, key: &[u8], meta: u64, value: &[u8]) -> Result<()> {
+        if !self.has_room(key.len(), value.len()) {
+            return Err(cachekv_lsm::Error::OutOfSpace(
+                "pmem memtable data region".into(),
+            ));
+        }
+        let off = self.append_data(key, meta, value);
+        self.update_index(key, meta, off)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use cachekv_cache::CacheConfig;
-    use cachekv_lsm::kv::pack_meta;
+    use cachekv_lsm::pack_meta;
     use cachekv_pmem::{PmemConfig, PmemDevice};
 
     fn hier() -> Arc<Hierarchy> {

@@ -14,10 +14,10 @@ use crate::breakdown::WriteBreakdown;
 use crate::pmem_memtable::PmemMemTable;
 use crate::{BaselineOptions, CacheUse};
 use cachekv_cache::Hierarchy;
-use cachekv_lsm::kv::{pack_meta, record_len, Entry, EntryKind, KvStore, Result, RECORD_HDR};
-use cachekv_lsm::memtable::Lookup;
-use cachekv_lsm::sstable::{build_table, TableHandle, TableMeta, TableOptions};
-use cachekv_lsm::tree::PmemLayout;
+use cachekv_lsm::{
+    build_table, pack_meta, record_len, Entry, EntryKind, KvStore, Lookup, PmemLayout, Result,
+    TableHandle, TableMeta, TableOptions, RECORD_HDR,
+};
 use cachekv_storage::PmemAllocator;
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
@@ -108,30 +108,6 @@ impl SlmDb {
             gc_threshold: 0.5,
             opts,
         }
-    }
-
-    /// Vanilla SLM-DB.
-    pub fn vanilla(hier: Arc<Hierarchy>, memtable_bytes: u64) -> Self {
-        Self::new(
-            hier,
-            BaselineOptions::vanilla().with_memtable_bytes(memtable_bytes),
-        )
-    }
-
-    /// `SLM-DB-w/o-flush`.
-    pub fn without_flush(hier: Arc<Hierarchy>, memtable_bytes: u64) -> Self {
-        Self::new(
-            hier,
-            BaselineOptions::without_flush().with_memtable_bytes(memtable_bytes),
-        )
-    }
-
-    /// `SLM-DB-cache`.
-    pub fn cache(hier: Arc<Hierarchy>, memtable_bytes: u64) -> Self {
-        Self::new(
-            hier,
-            BaselineOptions::cache().with_memtable_bytes(memtable_bytes),
-        )
     }
 
     fn fresh_memtable(
@@ -281,13 +257,8 @@ impl SlmDb {
         Ok(())
     }
 
-    /// Write-path latency breakdown.
-    pub fn breakdown(&self) -> &WriteBreakdown {
-        &self.breakdown
-    }
-
     /// Number of single-level tables currently live (tests).
-    pub fn table_count(&self) -> usize {
+    pub(crate) fn table_count(&self) -> usize {
         self.inner.lock().tables.len()
     }
 
@@ -365,6 +336,25 @@ impl KvStore for SlmDb {
                 lsm,
             }
             .to_json_string(),
+        )
+    }
+}
+
+#[cfg(test)]
+impl SlmDb {
+    /// Vanilla SLM-DB.
+    pub(crate) fn vanilla(hier: Arc<Hierarchy>, memtable_bytes: u64) -> Self {
+        Self::new(
+            hier,
+            BaselineOptions::vanilla().with_memtable_bytes(memtable_bytes),
+        )
+    }
+
+    /// `SLM-DB-w/o-flush`.
+    pub(crate) fn without_flush(hier: Arc<Hierarchy>, memtable_bytes: u64) -> Self {
+        Self::new(
+            hier,
+            BaselineOptions::without_flush().with_memtable_bytes(memtable_bytes),
         )
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests: the PMem B+-tree against a BTreeMap model, including
 //! crash durability of the clflush discipline.
 
-use cachekv_baselines::bptree::{BpTree, VAL};
+use cachekv_baselines::{BpTree, VAL};
 use cachekv_cache::{CacheConfig, Hierarchy};
 use cachekv_lsm::{FlushMode, PmemSpace};
 use cachekv_pmem::{LatencyConfig, PmemConfig, PmemDevice};

@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use cachekv_bench::{banner, build, row, BenchScale, MetricsSink, SystemKind};
 use cachekv_lsm::KvStore;
-use cachekv_workloads::{driver, run_ops, DbBench, KeyGen, ValueGen};
+use cachekv_workloads::{fill, run_ops, DbBench, KeyGen, ValueGen};
 
 fn main() {
     let scale = BenchScale::default();
@@ -48,7 +48,7 @@ fn main() {
             for &vs in &value_sizes {
                 let inst = build(kind, &scale);
                 let value = ValueGen::new(vs);
-                driver::fill(&inst.store, scale.keyspace, &key, &value);
+                fill(&inst.store, scale.keyspace, &key, &value);
                 let m = run_ops(
                     &inst.store,
                     mode,

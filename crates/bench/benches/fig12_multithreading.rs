@@ -6,7 +6,7 @@
 //!     while every baseline *degrades* (shared-MemTable contention).
 
 use cachekv_bench::{banner, build, row, BenchScale, SystemKind};
-use cachekv_workloads::{driver, run_ops, DbBench, KeyGen, ValueGen};
+use cachekv_workloads::{fill, run_ops, DbBench, KeyGen, ValueGen};
 
 fn main() {
     let scale = BenchScale::default();
@@ -32,7 +32,7 @@ fn main() {
         let mut cells = Vec::new();
         for &t in &threads {
             let inst = build(kind, &scale);
-            driver::fill(&inst.store, scale.keyspace, &key, &value);
+            fill(&inst.store, scale.keyspace, &key, &value);
             let m = run_ops(
                 &inst.store,
                 DbBench::ReadRandom,

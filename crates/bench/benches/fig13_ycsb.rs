@@ -5,7 +5,7 @@
 //! write-dominated YCSB-Load and narrows on the read-dominated B/C/D.
 
 use cachekv_bench::{banner, build, row, BenchScale, SystemKind};
-use cachekv_workloads::{driver, KeyGen, ValueGen, YcsbWorkload};
+use cachekv_workloads::{fill, run_ycsb, KeyGen, ValueGen, YcsbWorkload};
 
 fn main() {
     let scale = BenchScale::default();
@@ -32,9 +32,9 @@ fn main() {
         for w in workloads {
             let inst = build(kind, &scale);
             if w.needs_load_phase() {
-                driver::fill(&inst.store, scale.keyspace, &key, &value);
+                fill(&inst.store, scale.keyspace, &key, &value);
             }
-            let m = driver::run_ycsb(&inst.store, w, scale.keyspace, scale.ops, 1, &key, &value);
+            let m = run_ycsb(&inst.store, w, scale.keyspace, scale.ops, 1, &key, &value);
             cells.push(format!("{:.1}", m.kops()));
         }
         row(kind.name(), &cells);

@@ -6,7 +6,7 @@
 //! (small tables bottleneck on flushing, large tables starve parallelism).
 
 use cachekv_bench::{banner, build_with, row, BenchScale, SystemKind};
-use cachekv_workloads::{driver, run_ops, DbBench, KeyGen, ValueGen};
+use cachekv_workloads::{fill, run_ops, DbBench, KeyGen, ValueGen};
 
 fn main() {
     let scale = BenchScale::default();
@@ -32,7 +32,7 @@ fn main() {
         s.subtable_bytes = (kb as u64) << 10;
         // (a) random reads over a filled store.
         let inst = build_with(SystemKind::CacheKv, &s, flushers);
-        driver::fill(&inst.store, s.keyspace, &key, &value);
+        fill(&inst.store, s.keyspace, &key, &value);
         let m = run_ops(
             &inst.store,
             DbBench::ReadRandom,

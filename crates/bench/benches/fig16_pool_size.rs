@@ -7,7 +7,7 @@
 //! also effective when given limited cache space".
 
 use cachekv_bench::{banner, build_with, row, BenchScale, SystemKind};
-use cachekv_workloads::{driver, run_ops, DbBench, KeyGen, ValueGen};
+use cachekv_workloads::{fill, run_ops, DbBench, KeyGen, ValueGen};
 
 fn main() {
     let scale = BenchScale::default();
@@ -33,7 +33,7 @@ fn main() {
         s.pool_bytes = (mb as u64) << 20;
         s.subtable_bytes = 1 << 20;
         let inst = build_with(SystemKind::CacheKv, &s, flushers);
-        driver::fill(&inst.store, s.keyspace, &key, &value);
+        fill(&inst.store, s.keyspace, &key, &value);
         let m = run_ops(
             &inst.store,
             DbBench::ReadRandom,

@@ -10,7 +10,7 @@
 use cachekv_bench::{banner, build, row, BenchScale, Instance, MetricsSink, SystemKind};
 use cachekv_lsm::KvStore;
 use cachekv_server::{KvClient, KvServer, LoopbackTransport, RemoteStore, ServerConfig};
-use cachekv_workloads::{driver, KeyGen, ValueGen, YcsbWorkload};
+use cachekv_workloads::{fill, run_ycsb, KeyGen, ValueGen, YcsbWorkload};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -41,7 +41,7 @@ fn main() {
     ));
     let remote: Arc<dyn KvStore> = Arc::new(RemoteStore::new(client.clone()));
 
-    driver::fill(&remote, scale.keyspace, &key, &value);
+    fill(&remote, scale.keyspace, &key, &value);
 
     // A few point reads so the server artifact carries its full latency
     // decomposition (the validator requires get/put histogram samples).
@@ -52,7 +52,7 @@ fn main() {
     }
 
     let ops_per_thread = (scale.ops / THREADS as u64).max(1);
-    let m = driver::run_ycsb(
+    let m = run_ycsb(
         &remote,
         YcsbWorkload::E,
         scale.keyspace,

@@ -6,7 +6,7 @@
 //! flushes.
 
 use cachekv_bench::{banner, build, row, BenchScale, SystemKind};
-use cachekv_workloads::{driver, run_ops_with_latency, DbBench, KeyGen, ValueGen};
+use cachekv_workloads::{fill, run_ops_with_latency, DbBench, KeyGen, ValueGen};
 
 fn main() {
     let scale = BenchScale::default();
@@ -41,7 +41,7 @@ fn main() {
             &key,
             &value,
         );
-        driver::fill(&inst.store, scale.keyspace, &key, &value);
+        fill(&inst.store, scale.keyspace, &key, &value);
         let (_, rlat) = run_ops_with_latency(
             &inst.store,
             DbBench::ReadRandom,

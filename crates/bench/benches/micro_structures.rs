@@ -2,11 +2,10 @@
 //! DRAM vs simulated PMem, XPBuffer streaming vs scattered writes, the
 //! sub-MemTable append path, and the PMem B+-tree.
 
-use cachekv::subtable::SubTable;
-use cachekv_baselines::bptree::BpTree;
+use cachekv::SubTable;
+use cachekv_baselines::BpTree;
 use cachekv_cache::{CacheConfig, Hierarchy};
-use cachekv_lsm::kv::{pack_meta, EntryKind};
-use cachekv_lsm::{DramSpace, FlushMode, PmemSpace, SkipList};
+use cachekv_lsm::{pack_meta, DramSpace, EntryKind, FlushMode, PmemSpace, SkipList};
 use cachekv_pmem::{LatencyConfig, PmemConfig, PmemDevice};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -105,7 +104,7 @@ fn bench_subtable(c: &mut Criterion) {
                     &mut scratch,
                 )
                 .unwrap()
-                == cachekv::subtable::Append::Full
+                == cachekv::Append::Full
             {
                 st.seal();
                 st.reset_free();

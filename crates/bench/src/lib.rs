@@ -133,7 +133,7 @@ impl Default for BenchScale {
 
 /// A constructed system plus its hierarchy (for counters).
 pub struct Instance {
-    pub kind: SystemKind,
+    pub(crate) kind: SystemKind,
     pub store: Arc<dyn KvStore>,
     pub hier: Arc<Hierarchy>,
 }
@@ -143,7 +143,7 @@ impl Instance {
     /// stores report through [`KvStore::snapshot_json`]; uninstrumented
     /// ones fall back to a device/cache-only snapshot so every label in a
     /// figure artifact carries at least the hardware counters.
-    pub fn snapshot_json(&self) -> String {
+    pub(crate) fn snapshot_json(&self) -> String {
         self.store.snapshot_json().unwrap_or_else(|| {
             StatsSnapshot {
                 system: self.kind.name().to_string(),

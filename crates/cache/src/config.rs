@@ -8,10 +8,10 @@ pub struct CacheConfig {
     /// Total capacity in bytes of the normal (unlocked) partition.
     pub capacity: usize,
     /// Associativity (lines per set).
-    pub ways: usize,
+    pub(crate) ways: usize,
     /// Number of lock shards the sets are spread over; bounds simulator-side
     /// contention in multi-threaded runs.
-    pub shards: usize,
+    pub(crate) shards: usize,
 }
 
 impl CacheConfig {
@@ -35,7 +35,7 @@ impl CacheConfig {
     }
 
     /// Number of sets implied by the geometry.
-    pub fn num_sets(&self) -> usize {
+    pub(crate) fn num_sets(&self) -> usize {
         let sets = self.capacity / (self.ways * CACHELINE);
         assert!(sets > 0, "cache too small for its associativity");
         sets

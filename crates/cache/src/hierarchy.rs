@@ -3,8 +3,7 @@
 use crate::config::CacheConfig;
 use crate::llc::Llc;
 use crate::stats::CacheStats;
-use cachekv_pmem::faults::TripReport;
-use cachekv_pmem::{FaultPlan, PersistDomain, PmemDevice, PmemStats};
+use cachekv_pmem::{PersistDomain, PmemDevice, PmemStats};
 use std::sync::{Arc, Weak};
 
 /// Simulated LLC + PMem device, presented as one persistent address space.
@@ -35,30 +34,14 @@ impl Hierarchy {
         Hierarchy { llc }
     }
 
-    /// Arm fault injection on the underlying device (see
-    /// [`cachekv_pmem::faults`]).
-    pub fn install_fault_plan(&self, plan: FaultPlan) {
-        self.llc.device().install_fault_plan(plan);
-    }
-
     /// True from the instant an injected fault has tripped.
     pub fn fault_tripped(&self) -> bool {
         self.llc.device().fault_tripped()
     }
 
-    /// Take the survivor image captured by the last fault trip.
-    pub fn take_trip_report(&self) -> Option<TripReport> {
-        self.llc.device().take_trip_report()
-    }
-
     /// The underlying device.
     pub fn device(&self) -> &Arc<PmemDevice> {
         self.llc.device()
-    }
-
-    /// Cache geometry.
-    pub fn cache_config(&self) -> &CacheConfig {
-        self.llc.config()
     }
 
     /// Cached write (write-back, write-allocate).
@@ -92,20 +75,6 @@ impl Hierarchy {
         let mut b = [0u8; 8];
         self.load(addr, &mut b);
         u64::from_le_bytes(b)
-    }
-
-    /// Store a little-endian u32.
-    #[inline]
-    pub fn store_u32(&self, addr: u64, v: u32) {
-        self.store(addr, &v.to_le_bytes());
-    }
-
-    /// Load a little-endian u32.
-    #[inline]
-    pub fn load_u32(&self, addr: u64) -> u32 {
-        let mut b = [0u8; 4];
-        self.load(addr, &mut b);
-        u32::from_le_bytes(b)
     }
 
     /// `clflush` the lines covering `[addr, addr+len)`.
@@ -203,9 +172,22 @@ impl Hierarchy {
     pub fn dirty_lines(&self) -> usize {
         self.llc.dirty_lines()
     }
+}
+
+#[cfg(test)]
+impl Hierarchy {
+    /// Arm fault injection on the underlying device.
+    pub(crate) fn install_fault_plan(&self, plan: cachekv_pmem::FaultPlan) {
+        self.llc.device().install_fault_plan(plan);
+    }
+
+    /// Take the survivor image captured by the last fault trip.
+    pub(crate) fn take_trip_report(&self) -> Option<cachekv_pmem::TripReport> {
+        self.llc.device().take_trip_report()
+    }
 
     /// Whether a line is cached (test helper).
-    pub fn contains_line(&self, addr: u64) -> bool {
+    pub(crate) fn contains_line(&self, addr: u64) -> bool {
         self.llc.contains_line(addr)
     }
 }

@@ -37,10 +37,10 @@
 //! assert_eq!(&after, b"hello persistent caches");
 //! ```
 
-pub mod config;
-pub mod hierarchy;
-pub mod llc;
-pub mod stats;
+mod config;
+mod hierarchy;
+mod llc;
+mod stats;
 
 pub use config::CacheConfig;
 pub use hierarchy::Hierarchy;

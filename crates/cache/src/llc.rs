@@ -36,7 +36,7 @@ struct Shard {
 }
 
 /// The LLC simulator. Shared behind `Arc` by every thread of a store.
-pub struct Llc {
+pub(crate) struct Llc {
     cfg: CacheConfig,
     dev: Arc<PmemDevice>,
     shards: Vec<Mutex<Shard>>,
@@ -45,7 +45,7 @@ pub struct Llc {
 }
 
 impl Llc {
-    pub fn new(dev: Arc<PmemDevice>, cfg: CacheConfig) -> Self {
+    pub(crate) fn new(dev: Arc<PmemDevice>, cfg: CacheConfig) -> Self {
         let num_sets = cfg.num_sets();
         let shards = cfg.shards.min(num_sets);
         let mut v = Vec::with_capacity(shards);
@@ -68,12 +68,8 @@ impl Llc {
         }
     }
 
-    pub fn device(&self) -> &Arc<PmemDevice> {
+    pub(crate) fn device(&self) -> &Arc<PmemDevice> {
         &self.dev
-    }
-
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
     }
 
     #[inline]
@@ -104,7 +100,7 @@ impl Llc {
 
     /// Reserve `[start, start+len)` (64 B aligned) in the locked partition.
     /// Existing cached lines in the range migrate into it.
-    pub fn lock_region(&self, start: u64, len: u64) {
+    pub(crate) fn lock_region(&self, start: u64, len: u64) {
         assert_eq!(
             start % CACHELINE as u64,
             0,
@@ -138,7 +134,7 @@ impl Llc {
 
     /// Release a locked region: dirty lines are written back to the device
     /// and the partition space is returned.
-    pub fn unlock_region(&self, start: u64, len: u64) {
+    pub(crate) fn unlock_region(&self, start: u64, len: u64) {
         {
             let mut ranges = self.locked_ranges.write();
             if let Some(pos) = ranges.iter().position(|&r| r == (start, start + len)) {
@@ -159,19 +155,19 @@ impl Llc {
     }
 
     /// Currently locked ranges (for tests and recovery).
-    pub fn locked_ranges(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn locked_ranges(&self) -> Vec<(u64, u64)> {
         self.locked_ranges.read().clone()
     }
 
     /// Store `data` at `addr` through the cache (write-back, write-allocate).
-    pub fn store(&self, addr: u64, data: &[u8]) {
+    pub(crate) fn store(&self, addr: u64, data: &[u8]) {
         self.for_each_line(addr, data.len(), |line, lo, hi, rng| {
             self.store_line(line, lo, hi, &data[rng.clone()]);
         });
     }
 
     /// Load `buf.len()` bytes at `addr` through the cache.
-    pub fn load(&self, addr: u64, buf: &mut [u8]) {
+    pub(crate) fn load(&self, addr: u64, buf: &mut [u8]) {
         let mut scratch: Vec<(std::ops::Range<usize>, u64, usize, usize)> = Vec::new();
         self.for_each_line(addr, buf.len(), |line, lo, hi, rng| {
             scratch.push((rng, line, lo, hi));
@@ -395,7 +391,7 @@ impl Llc {
     /// CAT-locked lines (CacheKV's packed sub-MemTable headers) — x86 CAS on
     /// an uncached PMem line would implicitly fetch it, which locked regions
     /// already guarantee.
-    pub fn cas_u64(&self, addr: u64, expected: u64, new: u64) -> u64 {
+    pub(crate) fn cas_u64(&self, addr: u64, expected: u64, new: u64) -> u64 {
         assert_eq!(addr % 8, 0, "CAS must be 8-byte aligned");
         let line = addr & LINE_MASK;
         assert!(self.is_locked(line), "cas_u64 requires a CAT-locked line");
@@ -428,12 +424,12 @@ impl Llc {
     /// `clflush` every line in `[addr, addr+len)`: write back if dirty, then
     /// invalidate. Works on both partitions (the paper's footnote 5: flush
     /// instructions evict even "locked" lines).
-    pub fn clflush(&self, addr: u64, len: usize) {
+    pub(crate) fn clflush(&self, addr: u64, len: usize) {
         self.flush_range(addr, len, true);
     }
 
     /// `clwb` every line in `[addr, addr+len)`: write back if dirty, retain.
-    pub fn clwb(&self, addr: u64, len: usize) {
+    pub(crate) fn clwb(&self, addr: u64, len: usize) {
         self.flush_range(addr, len, false);
     }
 
@@ -481,7 +477,7 @@ impl Llc {
     /// store order, which is what CacheKV's copy-based flush relies on to
     /// fill whole XPLines. Cached copies of the touched lines are first made
     /// coherent (dirty ones written back) and invalidated.
-    pub fn nt_store(&self, addr: u64, data: &[u8]) {
+    pub(crate) fn nt_store(&self, addr: u64, data: &[u8]) {
         let lat = self.dev.config().latency;
         // Invalidate overlapping cached lines so later loads see the stream.
         let first = addr & LINE_MASK;
@@ -519,7 +515,7 @@ impl Llc {
     }
 
     /// Persistence barrier.
-    pub fn sfence(&self) {
+    pub(crate) fn sfence(&self) {
         self.dev.persist_barrier();
     }
 
@@ -534,7 +530,7 @@ impl Llc {
     /// bytes the same thread stored just before it, an ordering no hardware
     /// can produce). No caller may hold a shard lock across a device write,
     /// or the fault-trip observer running this would deadlock.
-    pub fn writeback_all(&self) {
+    pub(crate) fn writeback_all(&self) {
         let mut guards: Vec<_> = self.shards.iter().map(|m| m.lock()).collect();
         let mut pending: Vec<(u64, [u8; CACHELINE])> = Vec::new();
         for shard in guards.iter_mut() {
@@ -561,7 +557,7 @@ impl Llc {
 
     /// Drop every line. Under ADR this is what a power failure does to the
     /// caches; dirty data is lost.
-    pub fn invalidate_all(&self) {
+    pub(crate) fn invalidate_all(&self) {
         for m in &self.shards {
             let mut shard = m.lock();
             for set in shard.sets.iter_mut() {
@@ -573,7 +569,7 @@ impl Llc {
     }
 
     /// Number of dirty lines currently held (test helper).
-    pub fn dirty_lines(&self) -> usize {
+    pub(crate) fn dirty_lines(&self) -> usize {
         self.shards
             .iter()
             .map(|m| {
@@ -583,9 +579,12 @@ impl Llc {
             })
             .sum()
     }
+}
 
+#[cfg(test)]
+impl Llc {
     /// Whether `addr`'s line is present in either partition (test helper).
-    pub fn contains_line(&self, addr: u64) -> bool {
+    pub(crate) fn contains_line(&self, addr: u64) -> bool {
         let line = addr & LINE_MASK;
         let (si, set) = self.place(line);
         let shard = self.shards[si].lock();

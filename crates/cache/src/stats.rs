@@ -4,21 +4,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared atomic counters for the cache simulator.
 #[derive(Debug, Default)]
-pub struct CacheStatsCell {
-    pub store_hits: AtomicU64,
-    pub store_misses: AtomicU64,
-    pub load_hits: AtomicU64,
-    pub load_misses: AtomicU64,
+pub(crate) struct CacheStatsCell {
+    pub(crate) store_hits: AtomicU64,
+    pub(crate) store_misses: AtomicU64,
+    pub(crate) load_hits: AtomicU64,
+    pub(crate) load_misses: AtomicU64,
     /// Lines pushed out by capacity/conflict replacement.
-    pub evictions: AtomicU64,
+    pub(crate) evictions: AtomicU64,
     /// Evicted lines that were dirty (reached the device).
-    pub dirty_evictions: AtomicU64,
+    pub(crate) dirty_evictions: AtomicU64,
     /// `clflush`/`clwb` line operations issued.
-    pub flush_ops: AtomicU64,
+    pub(crate) flush_ops: AtomicU64,
     /// Cachelines written via non-temporal stores.
-    pub nt_lines: AtomicU64,
+    pub(crate) nt_lines: AtomicU64,
     /// Accesses served by a CAT-locked region.
-    pub locked_hits: AtomicU64,
+    pub(crate) locked_hits: AtomicU64,
 }
 
 impl CacheStatsCell {
@@ -28,7 +28,7 @@ impl CacheStatsCell {
     }
 
     /// Immutable snapshot.
-    pub fn snapshot(&self) -> CacheStats {
+    pub(crate) fn snapshot(&self) -> CacheStats {
         CacheStats {
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_misses: self.store_misses.load(Ordering::Relaxed),
@@ -43,7 +43,7 @@ impl CacheStatsCell {
     }
 
     /// Zero every counter.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.store_hits.store(0, Ordering::Relaxed);
         self.store_misses.store(0, Ordering::Relaxed);
         self.load_hits.store(0, Ordering::Relaxed);

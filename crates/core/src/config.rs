@@ -8,9 +8,9 @@ use cachekv_lsm::StorageConfig;
 pub struct Techniques {
     /// Lazy index update (Section III-B). Off = sub-skiplists are updated
     /// synchronously on every write (the bare PCSM configuration).
-    pub lazy_index: bool,
+    pub(crate) lazy_index: bool,
     /// Sub-skiplist compaction into a global skiplist (Section III-D).
-    pub compaction: bool,
+    pub(crate) compaction: bool,
 }
 
 impl Techniques {
@@ -152,42 +152,6 @@ impl CacheKvConfig {
         self.subtable_bytes = subtable_bytes;
         self
     }
-
-    /// Builder-style override of the flush thread count.
-    pub fn with_flush_threads(mut self, n: usize) -> Self {
-        self.flush_threads = n.max(1);
-        self
-    }
-
-    /// Builder-style override of the core count.
-    pub fn with_cores(mut self, n: usize) -> Self {
-        self.num_cores = n.max(1);
-        self
-    }
-
-    /// Builder-style override of the housekeeping worker count.
-    pub fn with_housekeeping_threads(mut self, n: usize) -> Self {
-        self.housekeeping_threads = n.max(1);
-        self
-    }
-
-    /// Builder-style override of the per-segment entry target.
-    pub fn with_segment_target(mut self, entries: usize) -> Self {
-        self.sc_segment_target_entries = entries.max(1);
-        self
-    }
-
-    /// Builder-style toggle of the monolithic full-fold baseline mode.
-    pub fn with_full_fold(mut self, on: bool) -> Self {
-        self.sc_full_fold = on;
-        self
-    }
-
-    /// Builder-style override of the write backpressure watermark.
-    pub fn with_backpressure_bytes(mut self, bytes: u64) -> Self {
-        self.hk_backpressure_bytes = bytes;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -213,22 +177,9 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = CacheKvConfig::test_small()
-            .with_pool(1 << 20, 128 << 10)
-            .with_flush_threads(3)
-            .with_cores(2)
-            .with_housekeeping_threads(4)
-            .with_segment_target(2048)
-            .with_full_fold(true)
-            .with_backpressure_bytes(0);
+        let c = CacheKvConfig::test_small().with_pool(1 << 20, 128 << 10);
         assert_eq!(c.pool_bytes, 1 << 20);
         assert_eq!(c.subtable_bytes, 128 << 10);
-        assert_eq!(c.flush_threads, 3);
-        assert_eq!(c.num_cores, 2);
-        assert_eq!(c.housekeeping_threads, 4);
-        assert_eq!(c.sc_segment_target_entries, 2048);
-        assert!(c.sc_full_fold);
-        assert_eq!(c.hk_backpressure_bytes, 0);
     }
 
     #[test]

@@ -31,8 +31,7 @@ use crate::config::CacheKvConfig;
 use crate::flushlog::FlushLog;
 use crate::store::CacheKv;
 use cachekv_cache::{CacheConfig, Hierarchy};
-use cachekv_lsm::kv::KvStore;
-use cachekv_lsm::{LsmConfig, LsmTree};
+use cachekv_lsm::{KvStore, LsmConfig, LsmTree};
 use cachekv_pmem::{FaultPlan, LatencyConfig, PersistDomain, PmemConfig, PmemDevice};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -103,7 +102,7 @@ impl Engine {
         }
     }
 
-    fn recover(&self, hier: Arc<Hierarchy>) -> cachekv_lsm::kv::Result<Box<dyn KvStore>> {
+    fn recover(&self, hier: Arc<Hierarchy>) -> cachekv_lsm::Result<Box<dyn KvStore>> {
         match self {
             Engine::CacheKv(cfg) => Ok(Box::new(CacheKv::recover(hier, cfg.clone())?)),
             Engine::WalLsm(cfg) => Ok(Box::new(LsmTree::recover(hier, cfg.clone())?)),
@@ -140,7 +139,8 @@ pub struct SweepOptions {
 /// What a sweep did, for assertions and reporting.
 #[derive(Debug)]
 pub struct SweepOutcome {
-    /// Total persistence events in the (traced) baseline run.
+    /// Total persistence events in the (traced) baseline run; every
+    /// injection point lies in `1..=total_events`.
     pub total_events: u64,
     /// Injection points actually exercised.
     pub points_run: usize,
@@ -150,7 +150,7 @@ pub struct SweepOutcome {
     pub trips: usize,
     /// Recoveries that returned an error with nothing committed (a crash
     /// before store creation finished) — acceptable, counted for info.
-    pub early_recovery_errors: usize,
+    pub(crate) early_recovery_errors: usize,
     /// How many trips landed inside each fault-context label.
     pub contexts: BTreeMap<String, usize>,
 }
@@ -178,7 +178,7 @@ fn value_history(ops: &[Op]) -> BTreeMap<Vec<u8>, BTreeSet<Option<Vec<u8>>>> {
     h
 }
 
-fn apply(store: &dyn KvStore, op: &Op) -> cachekv_lsm::kv::Result<()> {
+fn apply(store: &dyn KvStore, op: &Op) -> cachekv_lsm::Result<()> {
     match op {
         Op::Put(k, v) => store.put(k, v),
         Op::Delete(k) => store.delete(k),
@@ -405,7 +405,9 @@ pub fn sweep_store(opts: &SweepOptions) -> SweepOutcome {
 /// Outcome of [`sweep_flushlog`].
 #[derive(Debug)]
 pub struct FlushLogSweep {
+    /// Persistence events in the baseline script run.
     pub total_events: u64,
+    /// Injection points exercised: every event in `1..=total_events`.
     pub points_run: usize,
     /// FNV-1a digest over every point's surviving media image — two sweeps
     /// with the same arguments must produce the same digest (determinism).

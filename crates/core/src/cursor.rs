@@ -37,8 +37,7 @@
 //! items still missing — each round advances past at least one key of the
 //! source that set the horizon, so a scan always terminates.
 
-use cachekv_lsm::kv::{internal_cmp, meta_kind, meta_seq, EntryKind};
-use cachekv_lsm::sstable::OwnedTableIter;
+use cachekv_lsm::{internal_cmp, meta_kind, meta_seq, EntryKind, OwnedTableIter};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
@@ -284,7 +283,7 @@ impl Iterator for MergedCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachekv_lsm::kv::pack_meta;
+    use cachekv_lsm::pack_meta;
 
     fn mem(entries: Vec<(&str, u64, EntryKind, Option<&str>)>) -> ScanSource {
         let run: Vec<VersionedEntry> = entries

@@ -40,11 +40,11 @@ const REC_FLUSHED: u8 = 2;
 const SELECTOR_MAGIC: u64 = 0x464C_4F47; // "FLOG"
 
 /// One recovered flushed-table record: `(generation, base, len)`.
-pub type FlushedRecord = (u64, u64, u64);
+pub(crate) type FlushedRecord = (u64, u64, u64);
 
 /// Result of replaying the log: the pool region, the flushed tables, and a
 /// writer positioned at the valid tail.
-pub type RecoveredLog = (Option<(u64, u64)>, Vec<FlushedRecord>, FlushLog);
+pub(crate) type RecoveredLog = (Option<(u64, u64)>, Vec<FlushedRecord>, FlushLog);
 
 struct LogState {
     epoch: u64,
@@ -201,12 +201,12 @@ impl FlushLog {
     }
 
     /// Records appended since this handle was created (monotonic).
-    pub fn appends(&self) -> u64 {
+    pub(crate) fn appends(&self) -> u64 {
         self.appends.load(Ordering::Relaxed)
     }
 
     /// Compacting resets since this handle was created (monotonic).
-    pub fn resets(&self) -> u64 {
+    pub(crate) fn resets(&self) -> u64 {
         self.resets.load(Ordering::Relaxed)
     }
 

@@ -12,15 +12,13 @@
 use crate::cursor::take_keys;
 use crate::subtable::SubTable;
 use cachekv_cache::Hierarchy;
-use cachekv_lsm::bloom::Bloom;
-use cachekv_lsm::kv::{decode_record_at, Entry, RECORD_HDR};
-use cachekv_lsm::{DramSpace, SkipList};
+use cachekv_lsm::{decode_record_at, Bloom, DramSpace, Entry, SkipList, RECORD_HDR};
 use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// What a [`ReadFilter`] says about probing a table for a key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FilterVerdict {
+pub(crate) enum FilterVerdict {
     /// Key is outside the table's `[min, max]` fence — cannot be present.
     FenceSkip,
     /// Key is in range but the bloom filter rules it out.
@@ -34,7 +32,7 @@ pub enum FilterVerdict {
 /// tables, the global skiplist) — an index still lagging its table would
 /// yield false negatives. Lives in DRAM beside the sub-skiplist and is
 /// rebuilt from data on recovery; nothing about it is persisted.
-pub struct ReadFilter {
+pub(crate) struct ReadFilter {
     min: Vec<u8>,
     max: Vec<u8>,
     bloom: Bloom,
@@ -43,7 +41,7 @@ pub struct ReadFilter {
 impl ReadFilter {
     /// Build from keys in ascending order (an index iteration); duplicates
     /// (multiple versions of one key) are allowed. `None` for an empty set.
-    pub fn from_sorted_keys(keys: &[Vec<u8>]) -> Option<ReadFilter> {
+    pub(crate) fn from_sorted_keys(keys: &[Vec<u8>]) -> Option<ReadFilter> {
         let min = keys.first()?.clone();
         let max = keys.last().expect("non-empty").clone();
         debug_assert!(min <= max, "keys must be sorted ascending");
@@ -56,7 +54,7 @@ impl ReadFilter {
 
     /// Fence check then bloom check for `key`.
     #[inline]
-    pub fn check(&self, key: &[u8]) -> FilterVerdict {
+    pub(crate) fn check(&self, key: &[u8]) -> FilterVerdict {
         if key < self.min.as_slice() || key > self.max.as_slice() {
             FilterVerdict::FenceSkip
         } else if !self.bloom.may_contain(key) {
@@ -67,14 +65,14 @@ impl ReadFilter {
     }
 
     /// The `[min, max]` fence.
-    pub fn fences(&self) -> (&[u8], &[u8]) {
+    pub(crate) fn fences(&self) -> (&[u8], &[u8]) {
         (&self.min, &self.max)
     }
 
     /// FNV-1a digest of the encoded bloom bits: two filters over the same
     /// key set hash identically — the recovery-determinism tests compare
     /// these across independently rebuilt indexes.
-    pub fn bloom_fingerprint(&self) -> u64 {
+    pub(crate) fn bloom_fingerprint(&self) -> u64 {
         let mut h = 0xCBF2_9CE4_8422_2325u64;
         for b in self.bloom.encode() {
             h ^= b as u64;
@@ -93,14 +91,14 @@ struct SubIndexInner {
 }
 
 /// The index of one sub-MemTable (or of one flushed sub-ImmMemTable).
-pub struct SubIndex {
+pub(crate) struct SubIndex {
     inner: RwLock<SubIndexInner>,
 }
 
 impl SubIndex {
     /// Size the skiplist arena for a data region of `data_cap` bytes
     /// (worst-case small records need more index than data).
-    pub fn for_data_capacity(data_cap: u64) -> Arc<Self> {
+    pub(crate) fn for_data_capacity(data_cap: u64) -> Arc<Self> {
         let arena = (data_cap * 3) as usize + 4096;
         Arc::new(SubIndex {
             inner: RwLock::new(SubIndexInner {
@@ -112,20 +110,15 @@ impl SubIndex {
     }
 
     /// `(list counter, list tail pointer)`.
-    pub fn counters(&self) -> (u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64) {
         let g = self.inner.read();
         (g.synced_count, g.synced_tail)
-    }
-
-    /// Whether the index lags the sub-MemTable (cheap check: counters).
-    pub fn needs_sync(&self, st: &SubTable) -> bool {
-        self.inner.read().synced_count != st.header().counter()
     }
 
     /// Bring the sub-skiplist up to date with the sub-MemTable by replaying
     /// `[list tail, table tail)` of the data region. Returns how many
     /// records were indexed.
-    pub fn sync(&self, st: &SubTable) -> usize {
+    pub(crate) fn sync(&self, st: &SubTable) -> usize {
         let h = st.header();
         {
             let g = self.inner.read();
@@ -164,7 +157,7 @@ impl SubIndex {
     /// Rebuild from a raw record region `[base, base+len)` (a copy-flushed
     /// data region, which has no header line): replay everything after the
     /// current list tail.
-    pub fn sync_from_region(&self, hier: &Arc<Hierarchy>, base: u64, len: u64) -> usize {
+    pub(crate) fn sync_from_region(&self, hier: &Arc<Hierarchy>, base: u64, len: u64) -> usize {
         let mut g = self.inner.write();
         let start = g.synced_tail;
         if start >= len {
@@ -190,7 +183,7 @@ impl SubIndex {
     /// is the full record length at `off`: advancing the list tail past it
     /// keeps the unindexed suffix empty, so lock-free readers scanning
     /// `[list tail, table tail)` never re-decode already-indexed records.
-    pub fn insert_direct(&self, key: &[u8], meta: u64, off: u64, rec_len: u64) {
+    pub(crate) fn insert_direct(&self, key: &[u8], meta: u64, off: u64, rec_len: u64) {
         let mut g = self.inner.write();
         g.list
             .insert(key, meta, &(off as u32).to_le_bytes())
@@ -200,7 +193,7 @@ impl SubIndex {
     }
 
     /// Newest `(meta, data-region offset)` for `key`.
-    pub fn get(&self, key: &[u8]) -> Option<(u64, u32)> {
+    pub(crate) fn get(&self, key: &[u8]) -> Option<(u64, u32)> {
         let g = self.inner.read();
         g.list
             .get_latest(key)
@@ -208,7 +201,7 @@ impl SubIndex {
     }
 
     /// All indexed `(key, meta, offset)` triples in internal order.
-    pub fn entries(&self) -> Vec<IndexedEntry> {
+    pub(crate) fn entries(&self) -> Vec<IndexedEntry> {
         let g = self.inner.read();
         g.list
             .iter()
@@ -225,7 +218,7 @@ impl SubIndex {
     /// key past them (`None` when the range ran out first). Seeks instead
     /// of walking the whole list and stops after `max_keys`, so a scan
     /// copies what it can return, not the rest of the table.
-    pub fn range_entries(
+    pub(crate) fn range_entries(
         &self,
         start: &[u8],
         end: &[u8],
@@ -242,20 +235,10 @@ impl SubIndex {
 
     /// Build a [`ReadFilter`] over every indexed key. Only meaningful once
     /// the index is fully synced with its (now immutable) table.
-    pub fn build_filter(&self) -> Option<ReadFilter> {
+    pub(crate) fn build_filter(&self) -> Option<ReadFilter> {
         let g = self.inner.read();
         let keys: Vec<Vec<u8>> = g.list.iter_keys().map(|(k, _)| k).collect();
         ReadFilter::from_sorted_keys(&keys)
-    }
-
-    /// Number of indexed records.
-    pub fn len(&self) -> usize {
-        self.inner.read().list.len()
-    }
-
-    /// True when nothing is indexed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -263,7 +246,7 @@ impl SubIndex {
 /// `None` if the bytes there don't decode. An indexed record always decodes
 /// on a live device; after a fault trip blackholes the copy-flush stream,
 /// a region can be indexed in DRAM while its media holds garbage.
-pub fn try_read_record(hier: &Arc<Hierarchy>, region_base: u64, off: u64) -> Option<Entry> {
+pub(crate) fn try_read_record(hier: &Arc<Hierarchy>, region_base: u64, off: u64) -> Option<Entry> {
     let hdr = hier.load_vec(region_base + off, RECORD_HDR);
     let klen = u16::from_le_bytes(hdr[0..2].try_into().unwrap()) as usize;
     let vlen = u32::from_le_bytes(hdr[2..6].try_into().unwrap()) as usize;
@@ -272,38 +255,51 @@ pub fn try_read_record(hier: &Arc<Hierarchy>, region_base: u64, off: u64) -> Opt
 }
 
 /// Read the full record at `region_base + off` through the hierarchy.
-pub fn read_record(hier: &Arc<Hierarchy>, region_base: u64, off: u64) -> Entry {
+pub(crate) fn read_record(hier: &Arc<Hierarchy>, region_base: u64, off: u64) -> Entry {
     try_read_record(hier, region_base, off).expect("indexed record must decode")
 }
 
 /// A sub-ImmMemTable that has been copy-flushed out of the cache: its data
 /// region now lives at `base` in ordinary PMem, still indexed by its (fully
 /// synced) sub-skiplist.
-pub struct FlushedTable {
+pub(crate) struct FlushedTable {
     /// Generation number (monotone; also logged persistently).
-    pub gen: u64,
+    pub(crate) gen: u64,
     /// Region holding the copied data region.
-    pub base: u64,
+    pub(crate) base: u64,
     /// Bytes of data.
-    pub len: u64,
+    pub(crate) len: u64,
     /// The table's sub-skiplist.
-    pub index: Arc<SubIndex>,
+    pub(crate) index: Arc<SubIndex>,
     /// Fence + bloom pruning for reads; `None` only for an empty table.
-    pub filter: Option<ReadFilter>,
+    pub(crate) filter: Option<ReadFilter>,
 }
 
 /// One indexed record: `(key, meta, data-region offset)`.
-pub type IndexedEntry = (Vec<u8>, u64, u32);
+pub(crate) type IndexedEntry = (Vec<u8>, u64, u32);
 
 /// One compaction source: a table generation and its indexed entries.
-pub type TableEntries = (u64, Vec<IndexedEntry>);
+pub(crate) type TableEntries = (u64, Vec<IndexedEntry>);
+
+#[cfg(test)]
+impl SubIndex {
+    /// Whether the index lags the sub-MemTable (cheap check: counters).
+    pub(crate) fn needs_sync(&self, st: &SubTable) -> bool {
+        self.inner.read().synced_count != st.header().counter()
+    }
+
+    /// Number of indexed records.
+    pub(crate) fn len(&self) -> usize {
+        self.inner.read().list.len()
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::subtable::{Append, SubTable};
     use cachekv_cache::CacheConfig;
-    use cachekv_lsm::kv::{meta_seq, pack_meta, EntryKind};
+    use cachekv_lsm::{meta_seq, pack_meta, EntryKind};
     use cachekv_pmem::{PmemConfig, PmemDevice};
 
     fn subtable() -> SubTable {
@@ -372,7 +368,7 @@ mod tests {
             let key = format!("k{i:03}");
             let meta = pack_meta(i + 1, EntryKind::Put);
             if let Append::Ok(off) = st.append(key.as_bytes(), meta, b"v", &mut scratch).unwrap() {
-                let len = cachekv_lsm::kv::record_len(key.len(), 1) as u64;
+                let len = cachekv_lsm::record_len(key.len(), 1) as u64;
                 idx.insert_direct(key.as_bytes(), meta, off, len);
             }
         }

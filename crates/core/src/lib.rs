@@ -24,19 +24,19 @@
 //!
 //! The four techniques and where they live:
 //!
-//! * **Per-core sub-MemTable (PCSM)** — [`pool`], [`subtable`]: a pool of
+//! * **Per-core sub-MemTable (PCSM)** — `pool`, `subtable`: a pool of
 //!   small tables pinned in the LLC via Intel CAT; each core appends to its
 //!   own, eliminating MemTable lock contention (paper R2). The packed
 //!   38/2/24-bit header word is published by a single CAS for crash
 //!   atomicity.
-//! * **Lazy index update (LIU)** — [`index::SubIndex`]: DRAM sub-skiplists
+//! * **Lazy index update (LIU)** — `index::SubIndex`: DRAM sub-skiplists
 //!   synchronized off the critical path (on read / every N writes / on
 //!   seal).
-//! * **Copy-based flush (CF)** — [`store`]: sealed tables are streamed to
+//! * **Copy-based flush (CF)** — `store`: sealed tables are streamed to
 //!   PMem with non-temporal stores in one multi-MB copy, filling whole
 //!   XPLines instead of leaking random cachelines (paper R1).
-//! * **Sub-skiplist compaction (SC)** — [`segment::PartitionedIndex`] +
-//!   [`sched::Scheduler`]: flushed tables' indexes merge into a
+//! * **Sub-skiplist compaction (SC)** — `segment::PartitionedIndex` +
+//!   `sched::Scheduler`: flushed tables' indexes merge into a
 //!   range-partitioned global index (ordered fence-bounded segments),
 //!   dropping stale nodes to bound read amplification. Rounds only touch
 //!   overlapped segments, merges run in parallel on an off-path
@@ -60,19 +60,24 @@
 //! assert_eq!(db.get(b"hello").unwrap(), Some(b"persistent caches".to_vec()));
 //! ```
 
-pub mod config;
-pub mod crashtest;
-pub(crate) mod cursor;
-pub mod flushlog;
-pub mod index;
-pub mod metrics;
-pub mod pool;
-pub mod sched;
-pub mod segment;
-pub mod store;
-pub mod subtable;
+mod config;
+mod crashtest;
+mod cursor;
+mod flushlog;
+mod index;
+mod metrics;
+mod pool;
+mod sched;
+mod segment;
+mod store;
+mod subtable;
 
 pub use config::{CacheKvConfig, Techniques};
+pub use crashtest::{
+    standard_workload, sweep_flushlog, sweep_store, Engine, FlushLogSweep, Op, SweepOptions,
+    SweepOutcome,
+};
+pub use flushlog::FlushLog;
 pub use pool::Pool;
 pub use store::CacheKv;
-pub use subtable::{PackedHeader, SlotState, SubTable};
+pub use subtable::{Append, SubTable};

@@ -12,120 +12,120 @@ use cachekv_obs::{
 };
 
 /// Instruments for the memory component and its pipelines.
-pub struct StoreObs {
-    pub registry: Registry,
-    pub time_source: TimeSource,
+pub(crate) struct StoreObs {
+    pub(crate) registry: Registry,
+    pub(crate) time_source: TimeSource,
 
     // Front-end operations.
-    pub puts: Arc<Counter>,
-    pub gets: Arc<Counter>,
-    pub deletes: Arc<Counter>,
+    pub(crate) puts: Arc<Counter>,
+    pub(crate) gets: Arc<Counter>,
+    pub(crate) deletes: Arc<Counter>,
     /// Whole-op write latency (puts + deletes share the write path).
-    pub write_ns: Arc<Histogram>,
+    pub(crate) write_ns: Arc<Histogram>,
     /// Whole-op get latency.
-    pub get_ns: Arc<Histogram>,
+    pub(crate) get_ns: Arc<Histogram>,
     /// Range scans served.
-    pub scans: Arc<Counter>,
+    pub(crate) scans: Arc<Counter>,
     /// Whole-op scan latency (snapshot capture + merge).
-    pub scan_ns: Arc<Histogram>,
+    pub(crate) scan_ns: Arc<Histogram>,
     /// Live `(key, value)` pairs returned by scans.
-    pub scan_items: Arc<Counter>,
+    pub(crate) scan_items: Arc<Counter>,
     /// Sources (flushed tables, segments, sstables) a scan skipped because
     /// their key fences were disjoint from the range.
-    pub scan_fence_skips: Arc<Counter>,
+    pub(crate) scan_fence_skips: Arc<Counter>,
     /// Snapshot captures thrown away and retried because a version-dropping
     /// compaction (SC fold swap, L0 dump, LSM compaction) landed mid-capture.
-    pub scan_retries: Arc<Counter>,
+    pub(crate) scan_retries: Arc<Counter>,
     /// Bounded capture rounds run by scans (at least one per capture).
-    pub scan_rounds: Arc<Counter>,
+    pub(crate) scan_rounds: Arc<Counter>,
     /// Versions scans copied out of memory sources (active, sealing and
     /// flushed tables, global segments) — what a scan's cost follows.
-    pub scan_captured: Arc<Counter>,
+    pub(crate) scan_captured: Arc<Counter>,
     /// Figure 5 phase decomposition of the write path.
-    pub put_phases: PhaseSet,
+    pub(crate) put_phases: PhaseSet,
     /// Probe-order decomposition of the read path.
-    pub get_phases: ReadPhaseSet,
+    pub(crate) get_phases: ReadPhaseSet,
 
     // Read-path pruning (contention-free read path).
     /// Sub-indexes actually probed (active, sealing, flushed, global).
-    pub read_probes: Arc<Counter>,
+    pub(crate) read_probes: Arc<Counter>,
     /// Tables skipped because the key fell outside their min/max fence.
-    pub read_fence_skips: Arc<Counter>,
+    pub(crate) read_fence_skips: Arc<Counter>,
     /// Tables skipped by a bloom-filter miss (key in range, not present).
-    pub read_bloom_skips: Arc<Counter>,
+    pub(crate) read_bloom_skips: Arc<Counter>,
     /// LSM probes skipped because an in-memory hit dominated every
     /// persisted sequence number.
-    pub read_lsm_short_circuits: Arc<Counter>,
+    pub(crate) read_lsm_short_circuits: Arc<Counter>,
     /// CoreSlot mutex acquisitions made from inside a get. The read path
     /// is lock-free by construction, so this must stay at zero; it exists
     /// as a regression tripwire, asserted in tests and `validate_metrics`.
-    pub read_core_lock_acquisitions: Arc<Counter>,
+    pub(crate) read_core_lock_acquisitions: Arc<Counter>,
 
     // Seal / flush pipeline.
-    pub seals: Arc<Counter>,
+    pub(crate) seals: Arc<Counter>,
     /// Sub-MemTables force-sealed away from an idle peer core (the
     /// contention signal behind Figure 12).
-    pub steals: Arc<Counter>,
-    pub flushes: Arc<Counter>,
-    pub flushed_bytes: Arc<Counter>,
-    pub flush_ns: Arc<Histogram>,
+    pub(crate) steals: Arc<Counter>,
+    pub(crate) flushes: Arc<Counter>,
+    pub(crate) flushed_bytes: Arc<Counter>,
+    pub(crate) flush_ns: Arc<Histogram>,
     /// Sealed tables queued for flushing, not yet flushed.
-    pub flush_queue_depth: Arc<Gauge>,
+    pub(crate) flush_queue_depth: Arc<Gauge>,
 
     // Lazy index update.
-    pub liu_syncs: Arc<Counter>,
+    pub(crate) liu_syncs: Arc<Counter>,
 
     // Housekeeping scheduler (the off-path worker pool).
     /// Plan / merge / swap / dump decomposition of a housekeeping round.
-    pub hk_phases: HousekeepPhaseSet,
+    pub(crate) hk_phases: HousekeepPhaseSet,
     /// Jobs queued and not yet dequeued by a worker.
-    pub hk_queue_depth: Arc<Gauge>,
+    pub(crate) hk_queue_depth: Arc<Gauge>,
     /// Background submitters that blocked on a full queue.
-    pub hk_stalls: Arc<Counter>,
+    pub(crate) hk_stalls: Arc<Counter>,
     /// Puts stalled at a seal by the flushed-bytes watermark.
-    pub hk_put_stalls: Arc<Counter>,
+    pub(crate) hk_put_stalls: Arc<Counter>,
     /// Total nanoseconds puts spent stalled at the watermark.
-    pub hk_put_stall_ns: Arc<Counter>,
+    pub(crate) hk_put_stall_ns: Arc<Counter>,
     /// Reader sync nudges dropped because the queue was full.
-    pub hk_sync_dropped: Arc<Counter>,
+    pub(crate) hk_sync_dropped: Arc<Counter>,
     /// Sync jobs discarded because their sealed generation already rolled.
-    pub hk_sync_stale: Arc<Counter>,
+    pub(crate) hk_sync_stale: Arc<Counter>,
     /// Compaction merges executed from inside a put. The scheduler exists
     /// so this never happens; it is the off-path regression tripwire,
     /// asserted zero in tests and `validate_metrics`.
-    pub hk_inline_merges: Arc<Counter>,
+    pub(crate) hk_inline_merges: Arc<Counter>,
     /// Housekeeping rounds executed.
-    pub hk_rounds: Arc<Counter>,
+    pub(crate) hk_rounds: Arc<Counter>,
 
     // Sub-skiplist compaction and L0 dumps.
-    pub sc_merges: Arc<Counter>,
-    pub sc_merge_ns: Arc<Histogram>,
+    pub(crate) sc_merges: Arc<Counter>,
+    pub(crate) sc_merge_ns: Arc<Histogram>,
     /// One sample per segment merge task (the parallel unit of SC).
-    pub sc_segment_merge_ns: Arc<Histogram>,
+    pub(crate) sc_segment_merge_ns: Arc<Histogram>,
     /// Index bytes read by merges — against `core.sc.index_bytes`, the
     /// incrementality claim: merge bytes track touched data, not the index.
-    pub sc_merge_bytes: Arc<Counter>,
+    pub(crate) sc_merge_bytes: Arc<Counter>,
     /// Live segments in the partitioned global index.
-    pub sc_segments: Arc<Gauge>,
+    pub(crate) sc_segments: Arc<Gauge>,
     /// Approximate resident bytes of the partitioned global index.
-    pub sc_index_bytes: Arc<Gauge>,
+    pub(crate) sc_index_bytes: Arc<Gauge>,
     /// Segments created beyond a merge's input count (splits).
-    pub sc_splits: Arc<Counter>,
+    pub(crate) sc_splits: Arc<Counter>,
     /// Segments carried over untouched across SC rounds.
-    pub sc_segments_kept: Arc<Counter>,
+    pub(crate) sc_segments_kept: Arc<Counter>,
     /// Segments folded (rebuilt) by SC rounds.
-    pub sc_segments_merged: Arc<Counter>,
-    pub l0_dumps: Arc<Counter>,
-    pub l0_dump_entries: Arc<Counter>,
+    pub(crate) sc_segments_merged: Arc<Counter>,
+    pub(crate) l0_dumps: Arc<Counter>,
+    pub(crate) l0_dump_entries: Arc<Counter>,
 
     // Recovery.
-    pub recoveries: Arc<Counter>,
-    pub recovery_ns: Arc<Histogram>,
+    pub(crate) recoveries: Arc<Counter>,
+    pub(crate) recovery_ns: Arc<Histogram>,
 }
 
 impl StoreObs {
     /// Register every instrument under the `core.` namespace.
-    pub fn new(time_source: TimeSource) -> Self {
+    pub(crate) fn new(time_source: TimeSource) -> Self {
         let registry = Registry::new();
         StoreObs {
             time_source,
@@ -141,8 +141,8 @@ impl StoreObs {
             scan_retries: registry.counter("core.scan.retries"),
             scan_rounds: registry.counter("core.scan.rounds"),
             scan_captured: registry.counter("core.scan.captured"),
-            put_phases: PhaseSet::register(&registry, "core.put", time_source),
-            get_phases: ReadPhaseSet::register(&registry, "core.get", time_source),
+            put_phases: PhaseSet::register(&registry, "core.put"),
+            get_phases: ReadPhaseSet::register(&registry, "core.get"),
             read_probes: registry.counter("core.read.probes"),
             read_fence_skips: registry.counter("core.read.fence_skips"),
             read_bloom_skips: registry.counter("core.read.bloom_skips"),
@@ -155,7 +155,7 @@ impl StoreObs {
             flush_ns: registry.histogram("core.flush_ns"),
             flush_queue_depth: registry.gauge("core.flush.queue_depth"),
             liu_syncs: registry.counter("core.liu.syncs"),
-            hk_phases: HousekeepPhaseSet::register(&registry, "core.housekeep", time_source),
+            hk_phases: HousekeepPhaseSet::register(&registry, "core.housekeep"),
             hk_queue_depth: registry.gauge("core.housekeeping.queue_depth"),
             hk_stalls: registry.counter("core.housekeeping.stalls"),
             hk_put_stalls: registry.counter("core.housekeeping.put_stalls"),

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Persistent directory header size (8-byte publish word + two copies).
-pub const DIR_BYTES: u64 = 8192;
+pub(crate) const DIR_BYTES: u64 = 8192;
 /// Bytes available to each of the two directory copies.
 const DIR_COPY_BYTES: u64 = (DIR_BYTES - 8) / 2;
 const DIR_MAGIC: u32 = 0xCACE_4B56;
@@ -48,7 +48,7 @@ pub struct Pool {
     /// Times a core failed to find a free sub-MemTable (Section III-A).
     /// Reset whenever the elasticity threshold trips, so it is a *window*
     /// counter, not a lifetime one.
-    pub miss_counter: AtomicU64,
+    pub(crate) miss_counter: AtomicU64,
     /// Lifetime acquire misses — never reset, safe for monotonic metrics.
     total_misses: AtomicU64,
     miss_threshold: u64,
@@ -62,7 +62,7 @@ pub struct Pool {
 impl Pool {
     /// Create a pool at `[base, base+size)`: CAT-lock it, write the slot
     /// directory, and reset every slot header to `Free`.
-    pub fn create(
+    pub(crate) fn create(
         hier: Arc<Hierarchy>,
         base: u64,
         size: u64,
@@ -131,7 +131,7 @@ impl Pool {
     /// region and read the persisted directory. Slot headers are untouched.
     /// Returns `None` when no valid directory survives (an ADR platform
     /// lost the cache-resident directory) — the caller recreates the pool.
-    pub fn try_reattach(
+    pub(crate) fn try_reattach(
         hier: Arc<Hierarchy>,
         base: u64,
         size: u64,
@@ -154,7 +154,7 @@ impl Pool {
     }
 
     /// Re-attach, panicking if the persisted directory is invalid.
-    pub fn reattach(
+    pub(crate) fn reattach(
         hier: Arc<Hierarchy>,
         base: u64,
         size: u64,
@@ -241,7 +241,7 @@ impl Pool {
     }
 
     /// Pool region `(base, size)`.
-    pub fn region(&self) -> (u64, u64) {
+    pub(crate) fn region(&self) -> (u64, u64) {
         (self.base, self.size)
     }
 
@@ -251,7 +251,7 @@ impl Pool {
     }
 
     /// Every slot as a handle (recovery scans all states).
-    pub fn all_subtables(&self) -> Vec<SubTable> {
+    pub(crate) fn all_subtables(&self) -> Vec<SubTable> {
         self.slots
             .lock()
             .iter()
@@ -260,7 +260,7 @@ impl Pool {
     }
 
     /// Try once to acquire a free sub-MemTable.
-    pub fn try_acquire(&self) -> Option<SubTable> {
+    pub(crate) fn try_acquire(&self) -> Option<SubTable> {
         let slots = self.slots.lock();
         for s in slots.iter() {
             let st = self.subtable_of(*s);
@@ -276,7 +276,7 @@ impl Pool {
     /// One bounded wait-and-rescan round: waits briefly for a release and
     /// returns a table if one freed up. Callers loop, interleaving their
     /// own remedies (CacheKV force-seals idle peers between rounds).
-    pub fn wait_brief(&self) -> Option<SubTable> {
+    pub(crate) fn wait_brief(&self) -> Option<SubTable> {
         let mut slots = self.slots.lock();
         for s in slots.iter() {
             let st = self.subtable_of(*s);
@@ -297,7 +297,7 @@ impl Pool {
 
     /// Record one acquire miss; past the threshold, arm a split for the
     /// next release (nothing is free to split at miss time).
-    pub fn note_miss(&self) {
+    pub(crate) fn note_miss(&self) {
         let misses = self.miss_counter.fetch_add(1, Ordering::Relaxed) + 1;
         self.total_misses.fetch_add(1, Ordering::Relaxed);
         self.calm_acquires.store(0, Ordering::Relaxed);
@@ -307,33 +307,9 @@ impl Pool {
         }
     }
 
-    /// Acquire a free sub-MemTable, blocking until one is available.
-    /// Records misses and arms elasticity (Section III-A).
-    pub fn acquire(&self) -> SubTable {
-        if let Some(st) = self.try_acquire() {
-            return st;
-        }
-        loop {
-            self.note_miss();
-            {
-                let mut slots = self.slots.lock();
-                for s in slots.iter() {
-                    let st = self.subtable_of(*s);
-                    if st.try_acquire() {
-                        return st;
-                    }
-                }
-                // Wait for a flush to free a slot (with a timeout to
-                // re-check under races).
-                self.freed
-                    .wait_for(&mut slots, std::time::Duration::from_millis(1));
-            }
-        }
-    }
-
     /// Return a flushed slot to the pool: reset its header to `Free`, then
     /// apply any pending elasticity action, and wake waiters.
-    pub fn release(&self, st: &SubTable) {
+    pub(crate) fn release(&self, st: &SubTable) {
         st.reset_free();
         if self.split_pending.swap(0, Ordering::Relaxed) != 0 {
             self.split_one_free();
@@ -415,7 +391,7 @@ impl Pool {
     }
 
     /// Number of slots currently free (tests / reporting).
-    pub fn free_slots(&self) -> usize {
+    pub(crate) fn free_slots(&self) -> usize {
         self.slots
             .lock()
             .iter()
@@ -429,8 +405,35 @@ impl Pool {
     }
 
     /// Lifetime acquire misses (monotonic, unlike `miss_counter`).
-    pub fn total_misses(&self) -> u64 {
+    pub(crate) fn total_misses(&self) -> u64 {
         self.total_misses.load(Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+impl Pool {
+    /// Acquire a free sub-MemTable, blocking until one is available.
+    /// Records misses and arms elasticity (Section III-A).
+    pub(crate) fn acquire(&self) -> SubTable {
+        if let Some(st) = self.try_acquire() {
+            return st;
+        }
+        loop {
+            self.note_miss();
+            {
+                let mut slots = self.slots.lock();
+                for s in slots.iter() {
+                    let st = self.subtable_of(*s);
+                    if st.try_acquire() {
+                        return st;
+                    }
+                }
+                // Wait for a flush to free a slot (with a timeout to
+                // re-check under races).
+                self.freed
+                    .wait_for(&mut slots, std::time::Duration::from_millis(1));
+            }
+        }
     }
 }
 

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// One unit of background work.
-pub enum Job {
+pub(crate) enum Job {
     /// Bring `core`'s sub-skiplist up to date — only if the core still
     /// runs the sealed generation (`epoch`) the nudge was issued for.
     SyncCore { core: usize, epoch: u64 },
@@ -27,7 +27,7 @@ pub enum Job {
 
 /// Bounded job queue + dedupe state shared between submitters and the
 /// worker pool.
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     tx: Sender<Job>,
     rx: Receiver<Job>,
     /// At most one `Round` queued at a time: flush completions arrive in
@@ -39,7 +39,7 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    pub fn new(
+    pub(crate) fn new(
         cap: usize,
         queue_depth: Arc<Gauge>,
         stalls: Arc<Counter>,
@@ -57,14 +57,14 @@ impl Scheduler {
     }
 
     /// A receiver handle for one worker.
-    pub fn receiver(&self) -> Receiver<Job> {
+    pub(crate) fn receiver(&self) -> Receiver<Job> {
         self.rx.clone()
     }
 
     /// Queue a housekeeping round, deduped. Called from flush threads and
     /// stalled writers; may block on a full queue (that is backpressure on
     /// the *flush* pipeline, by design — never on a put's hot path).
-    pub fn submit_round(&self) {
+    pub(crate) fn submit_round(&self) {
         if self.round_pending.swap(true, Ordering::AcqRel) {
             return;
         }
@@ -82,13 +82,13 @@ impl Scheduler {
 
     /// A worker dequeued a `Round` and is about to run it; clear the latch
     /// *before* the round so a flush landing mid-round queues the next one.
-    pub fn take_round(&self) {
+    pub(crate) fn take_round(&self) {
         self.round_pending.store(false, Ordering::Release);
     }
 
     /// Queue a per-core index sync. Never blocks (callers sit on put/get
     /// hot paths); returns false when the nudge was dropped.
-    pub fn submit_sync(&self, core: usize, epoch: u64) -> bool {
+    pub(crate) fn submit_sync(&self, core: usize, epoch: u64) -> bool {
         match self.tx.try_send(Job::SyncCore { core, epoch }) {
             Ok(()) => {
                 self.queue_depth.inc();
@@ -103,13 +103,13 @@ impl Scheduler {
     }
 
     /// A worker dequeued a countable job.
-    pub fn note_dequeue(&self) {
+    pub(crate) fn note_dequeue(&self) {
         self.queue_depth.dec();
     }
 
     /// Shut the pool down: one `Stop` per worker (uncounted in the depth
     /// gauge; workers drain the queue ahead of them first).
-    pub fn stop(&self, workers: usize) {
+    pub(crate) fn stop(&self, workers: usize) {
         for _ in 0..workers {
             let _ = self.tx.send(Job::Stop);
         }

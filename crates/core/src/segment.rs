@@ -21,17 +21,16 @@
 
 use crate::cursor::take_keys;
 use crate::index::{FilterVerdict, IndexedEntry, ReadFilter, TableEntries};
-use cachekv_lsm::kv::internal_cmp;
-use cachekv_lsm::{DramSpace, SkipList};
+use cachekv_lsm::{internal_cmp, DramSpace, SkipList};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// One live global-index record: `(key, meta, table generation, offset)`.
-pub type GlobalEntry = (Vec<u8>, u64, u64, u32);
+pub(crate) type GlobalEntry = (Vec<u8>, u64, u64, u32);
 
 /// One immutable, fence-bounded slice of the global index.
-pub struct Segment {
+pub(crate) struct Segment {
     list: SkipList<DramSpace>,
     entries: usize,
     key_bytes: usize,
@@ -66,32 +65,27 @@ impl Segment {
     }
 
     /// Number of live keys in this segment.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries
     }
 
-    /// Always false — empty segments are never built.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
     /// Smallest key (inclusive fence).
-    pub fn min(&self) -> &[u8] {
+    pub(crate) fn min(&self) -> &[u8] {
         self.filter.fences().0
     }
 
     /// Largest key (inclusive fence).
-    pub fn max(&self) -> &[u8] {
+    pub(crate) fn max(&self) -> &[u8] {
         self.filter.fences().1
     }
 
     /// Fence + bloom pruning for reads.
-    pub fn filter(&self) -> &ReadFilter {
+    pub(crate) fn filter(&self) -> &ReadFilter {
         &self.filter
     }
 
     /// Newest `(meta, gen, off)` for `key`.
-    pub fn get(&self, key: &[u8]) -> Option<(u64, u64, u32)> {
+    pub(crate) fn get(&self, key: &[u8]) -> Option<(u64, u64, u32)> {
         self.list.get_latest(key).map(|(meta, v)| {
             let gen = u64::from_le_bytes(v[0..8].try_into().unwrap());
             let off = u32::from_le_bytes(v[8..12].try_into().unwrap());
@@ -100,7 +94,7 @@ impl Segment {
     }
 
     /// All live entries in internal order (bounds one L0 dump stream step).
-    pub fn entries(&self) -> Vec<GlobalEntry> {
+    pub(crate) fn entries(&self) -> Vec<GlobalEntry> {
         self.list
             .iter()
             .map(|e| {
@@ -115,7 +109,7 @@ impl Segment {
     /// `start <= key < end` (empty `end` = unbounded), in internal order,
     /// plus the next key past them (`None` when the segment or the range
     /// ran out first) — one scan round's share of this segment.
-    pub fn range(
+    pub(crate) fn range(
         &self,
         start: &[u8],
         end: &[u8],
@@ -142,7 +136,7 @@ impl Segment {
 }
 
 /// What probing the partitioned index for a key concluded.
-pub enum GlobalProbe {
+pub(crate) enum GlobalProbe {
     /// No segments at all.
     Empty,
     /// Key falls outside every segment's fences.
@@ -159,41 +153,36 @@ pub enum GlobalProbe {
 /// cheap-to-clone `Arc`s. Cloning the index (for a dump snapshot) copies
 /// only the `Arc` vector.
 #[derive(Clone, Default)]
-pub struct PartitionedIndex {
+pub(crate) struct PartitionedIndex {
     segments: Vec<Arc<Segment>>,
 }
 
 impl PartitionedIndex {
     /// An empty index (fresh store, or just after an L0 dump retired
     /// everything).
-    pub fn new() -> PartitionedIndex {
+    pub(crate) fn new() -> PartitionedIndex {
         PartitionedIndex::default()
     }
 
     /// Total live keys across all segments.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.segments.iter().map(|s| s.len()).sum()
-    }
-
-    /// True when the index holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
     }
 
     /// Approximate resident bytes across all segments (the denominator of
     /// the "merge bytes ≪ index size" incrementality claim).
-    pub fn approx_bytes(&self) -> u64 {
+    pub(crate) fn approx_bytes(&self) -> u64 {
         self.segments.iter().map(|s| s.approx_bytes()).sum()
     }
 
     /// The ordered segment set.
-    pub fn segments(&self) -> &[Arc<Segment>] {
+    pub(crate) fn segments(&self) -> &[Arc<Segment>] {
         &self.segments
     }
 
     /// Probe for `key`: binary-search the owning segment by fence, then
     /// fence/bloom gate it before touching its skiplist.
-    pub fn probe(&self, key: &[u8]) -> GlobalProbe {
+    pub(crate) fn probe(&self, key: &[u8]) -> GlobalProbe {
         if self.segments.is_empty() {
             return GlobalProbe::Empty;
         }
@@ -214,19 +203,6 @@ impl PartitionedIndex {
         }
     }
 
-    /// Newest `(meta, gen, off)` for `key` (tests / tools).
-    pub fn get(&self, key: &[u8]) -> Option<(u64, u64, u32)> {
-        match self.probe(key) {
-            GlobalProbe::Hit(meta, gen, off) => Some((meta, gen, off)),
-            _ => None,
-        }
-    }
-
-    /// All live entries in internal order (tests / tools).
-    pub fn entries(&self) -> Vec<GlobalEntry> {
-        self.segments.iter().flat_map(|s| s.entries()).collect()
-    }
-
     /// Plan one SC round: route each source's entries (already in internal
     /// order) to the segment region they overlap, mark those regions dirty,
     /// pull undersized neighbours of dirty regions in (so split/merge churn
@@ -237,7 +213,12 @@ impl PartitionedIndex {
     ///
     /// `full_fold` marks everything dirty — the monolithic-baseline mode
     /// used for A/B benchmarking.
-    pub fn plan(&self, sources: Vec<TableEntries>, target: usize, full_fold: bool) -> MergePlan {
+    pub(crate) fn plan(
+        &self,
+        sources: Vec<TableEntries>,
+        target: usize,
+        full_fold: bool,
+    ) -> MergePlan {
         let n = self.segments.len();
         if n == 0 {
             let sources: Vec<(u64, Vec<IndexedEntry>)> = sources
@@ -326,7 +307,7 @@ impl PartitionedIndex {
     /// Reassemble an index from a plan's kept segments plus each task's
     /// output, in fence order (tasks and kept slots never interleave out of
     /// order because runs are maximal and disjoint).
-    pub fn assemble(
+    pub(crate) fn assemble(
         kept: Vec<(usize, Arc<Segment>)>,
         outputs: Vec<(usize, Vec<Arc<Segment>>)>,
     ) -> PartitionedIndex {
@@ -343,25 +324,15 @@ impl PartitionedIndex {
 }
 
 /// One SC round's plan: independent merge tasks plus untouched segments.
-pub struct MergePlan {
+pub(crate) struct MergePlan {
     /// Independent merges, each covering one maximal dirty run.
-    pub tasks: Vec<MergeTask>,
+    pub(crate) tasks: Vec<MergeTask>,
     kept: Vec<(usize, Arc<Segment>)>,
 }
 
 impl MergePlan {
-    /// True when nothing overlaps (no sources routed anywhere).
-    pub fn is_noop(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Segments carried over without being touched.
-    pub fn kept_count(&self) -> usize {
-        self.kept.len()
-    }
-
     /// Split into `(tasks, kept)` for execution + reassembly.
-    pub fn into_parts(self) -> (Vec<MergeTask>, Vec<(usize, Arc<Segment>)>) {
+    pub(crate) fn into_parts(self) -> (Vec<MergeTask>, Vec<(usize, Arc<Segment>)>) {
         (self.tasks, self.kept)
     }
 }
@@ -369,7 +340,7 @@ impl MergePlan {
 /// One independent per-run merge: the dirty segments of a maximal run plus
 /// every source slice routed into it. Tasks share nothing and run in
 /// parallel on the housekeeping workers.
-pub struct MergeTask {
+pub(crate) struct MergeTask {
     /// Original index of the run's first region (orders reassembly).
     pub(crate) slot: usize,
     segments: Vec<Arc<Segment>>,
@@ -405,19 +376,19 @@ impl Ord for MergeHead {
 
 impl MergeTask {
     /// Reassembly slot (tests / scheduling).
-    pub fn slot(&self) -> usize {
+    pub(crate) fn slot(&self) -> usize {
         self.slot
     }
 
     /// How many existing segments this task folds.
-    pub fn segments_in(&self) -> usize {
+    pub(crate) fn segments_in(&self) -> usize {
         self.segments.len()
     }
 
     /// Bytes of index data this merge reads: folded segments plus routed
     /// source entries. Summed per round into `core.sc.merge_bytes` — the
     /// counter behind the "merge bytes ≪ index size" claim.
-    pub fn input_bytes(&self) -> u64 {
+    pub(crate) fn input_bytes(&self) -> u64 {
         let seg: u64 = self.segments.iter().map(|s| s.approx_bytes()).sum();
         let src: u64 = self
             .sources
@@ -434,7 +405,7 @@ impl MergeTask {
     /// at most `target` entries. Chunk boundaries are a pure function of
     /// the merged entry count, so identical inputs rebuild identical
     /// fences — the recovery-determinism contract.
-    pub fn run(self, target: usize) -> Vec<Arc<Segment>> {
+    pub(crate) fn run(self, target: usize) -> Vec<Arc<Segment>> {
         let MergeTask {
             segments, sources, ..
         } = self;
@@ -504,9 +475,38 @@ impl MergeTask {
 }
 
 #[cfg(test)]
+impl MergePlan {
+    /// True when nothing overlaps (no sources routed anywhere).
+    pub(crate) fn is_noop(&self) -> bool {
+        self.tasks.is_empty()
+    }
+
+    /// Segments carried over without being touched.
+    pub(crate) fn kept_count(&self) -> usize {
+        self.kept.len()
+    }
+}
+
+#[cfg(test)]
+impl PartitionedIndex {
+    /// True when the index holds no keys.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.segments.is_empty()
+    }
+
+    /// Newest `(meta, gen, off)` for `key` (tests / tools).
+    pub(crate) fn get(&self, key: &[u8]) -> Option<(u64, u64, u32)> {
+        match self.probe(key) {
+            GlobalProbe::Hit(meta, gen, off) => Some((meta, gen, off)),
+            _ => None,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use cachekv_lsm::kv::{meta_seq, pack_meta, EntryKind};
+    use cachekv_lsm::{meta_seq, pack_meta, EntryKind};
 
     /// Fold `sources` into `idx` the way an SC round does: plan, run every
     /// task, reassemble.

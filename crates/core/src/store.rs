@@ -13,13 +13,10 @@ use crate::sched::{Job, Scheduler};
 use crate::segment::{GlobalProbe, MergeTask, PartitionedIndex, Segment};
 use crate::subtable::{Append, SlotState, SubTable, DATA_OFF};
 use cachekv_cache::Hierarchy;
-use cachekv_lsm::kv::{
+use cachekv_lsm::{
     decode_record_at, internal_cmp, meta_kind, meta_seq, pack_meta, record_len, EntryKind, Error,
-    KvStore, Result,
+    KvStore, PmemLayout, Result, StorageComponent, Version,
 };
-use cachekv_lsm::tree::PmemLayout;
-use cachekv_lsm::version::Version;
-use cachekv_lsm::StorageComponent;
 use cachekv_obs::{HousekeepPhase, Phase, ReadPhase, StatsSnapshot, TimeSource};
 use cachekv_storage::PmemAllocator;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -280,7 +277,7 @@ impl CacheKv {
             let index = SubIndex::for_data_capacity(len);
             index.sync_from_region(&hier, base, len);
             for (_, meta, _) in index.entries() {
-                max_seq = max_seq.max(cachekv_lsm::kv::meta_seq(meta));
+                max_seq = max_seq.max(meta_seq(meta));
             }
             next_gen = next_gen.max(gen + 1);
             mem.gen_regions.insert(gen, (base, len));
@@ -313,7 +310,7 @@ impl CacheKv {
             let index = SubIndex::for_data_capacity(st.data_capacity());
             index.sync(&st);
             for (_, meta, _) in index.entries() {
-                crash_max_seq = crash_max_seq.max(cachekv_lsm::kv::meta_seq(meta));
+                crash_max_seq = crash_max_seq.max(meta_seq(meta));
             }
             kv.shared
                 .mem
@@ -977,7 +974,8 @@ impl CacheKv {
     }
 
     /// The range-scan path: pin a consistent snapshot of every source,
-    /// then heap-merge them through a [`MergedCursor`], in bounded capture
+    /// then heap-merge them through a
+    /// [`MergedCursor`](crate::cursor::MergedCursor), in bounded capture
     /// rounds ([`Round`]) so a scan copies about what it returns.
     ///
     /// Capture runs in the read path's probe order — active views first

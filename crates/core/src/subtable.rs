@@ -16,12 +16,12 @@
 //! publishes them; records beyond the published tail are invisible.
 
 use cachekv_cache::Hierarchy;
-use cachekv_lsm::kv::{encode_record_into, record_len, Error, Result};
+use cachekv_lsm::{encode_record_into, record_len, Error, Result};
 use std::sync::Arc;
 
 /// Sub-MemTable states (2 bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotState {
+pub(crate) enum SlotState {
     /// Unassigned, ready for a core.
     Free = 0,
     /// Owned by a core, accepting appends.
@@ -42,7 +42,7 @@ impl SlotState {
 
 /// The packed first header word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackedHeader(pub u64);
+pub(crate) struct PackedHeader(pub u64);
 
 const TAIL_BITS: u64 = 24;
 const STATE_BITS: u64 = 2;
@@ -51,30 +51,30 @@ const STATE_MASK: u64 = (1 << STATE_BITS) - 1;
 
 impl PackedHeader {
     /// Pack `(counter, state, tail)`.
-    pub fn new(counter: u64, state: SlotState, tail: u64) -> Self {
+    pub(crate) fn new(counter: u64, state: SlotState, tail: u64) -> Self {
         debug_assert!(counter < (1 << 38), "table counter overflow");
         debug_assert!(tail <= TAIL_MASK, "tail exceeds 24 bits");
         PackedHeader((counter << (STATE_BITS + TAIL_BITS)) | ((state as u64) << TAIL_BITS) | tail)
     }
 
     /// Records appended so far (doubles as a version tag).
-    pub fn counter(self) -> u64 {
+    pub(crate) fn counter(self) -> u64 {
         self.0 >> (STATE_BITS + TAIL_BITS)
     }
 
     /// Slot state.
-    pub fn state(self) -> SlotState {
+    pub(crate) fn state(self) -> SlotState {
         SlotState::from_bits((self.0 >> TAIL_BITS) & STATE_MASK)
     }
 
     /// Byte offset in the data region where the next record goes.
-    pub fn tail(self) -> u64 {
+    pub(crate) fn tail(self) -> u64 {
         self.0 & TAIL_MASK
     }
 }
 
 /// Data region starts one cacheline past the slot base.
-pub const DATA_OFF: u64 = 64;
+pub(crate) const DATA_OFF: u64 = 64;
 
 /// Outcome of an append attempt.
 #[derive(Debug, PartialEq, Eq)]
@@ -90,9 +90,9 @@ pub enum Append {
 pub struct SubTable {
     hier: Arc<Hierarchy>,
     /// Slot base address (header cacheline).
-    pub base: u64,
+    pub(crate) base: u64,
     /// Total slot size including the header line.
-    pub size: u64,
+    pub(crate) size: u64,
 }
 
 impl SubTable {
@@ -103,23 +103,18 @@ impl SubTable {
     }
 
     /// Capacity of the data region.
-    pub fn data_capacity(&self) -> u64 {
+    pub(crate) fn data_capacity(&self) -> u64 {
         self.size - DATA_OFF
     }
 
     /// Load the packed header word.
-    pub fn header(&self) -> PackedHeader {
+    pub(crate) fn header(&self) -> PackedHeader {
         PackedHeader(self.hier.load_u64(self.base))
     }
 
     /// CAS the packed header word; true on success.
-    pub fn cas_header(&self, old: PackedHeader, new: PackedHeader) -> bool {
+    pub(crate) fn cas_header(&self, old: PackedHeader, new: PackedHeader) -> bool {
         self.hier.cas_u64(self.base, old.0, new.0) == old.0
-    }
-
-    /// The remaining-space field (second header word).
-    pub fn remaining_space(&self) -> u64 {
-        self.hier.load_u64(self.base + 8)
     }
 
     /// Reset the header to an empty `Free` slot (after flush / at pool
@@ -198,20 +193,28 @@ impl SubTable {
     }
 
     /// Read `len` bytes of the data region at `off`.
-    pub fn read_data(&self, off: u64, len: usize) -> Vec<u8> {
+    pub(crate) fn read_data(&self, off: u64, len: usize) -> Vec<u8> {
         self.hier.load_vec(self.base + DATA_OFF + off, len)
     }
 
     /// Read `len` bytes of the data region at `off` into `buf`, resizing
     /// it (previous contents are overwritten). Lets hot read paths reuse a
     /// scratch buffer instead of allocating per call.
-    pub fn read_data_into(&self, off: u64, len: usize, buf: &mut Vec<u8>) {
+    pub(crate) fn read_data_into(&self, off: u64, len: usize, buf: &mut Vec<u8>) {
         buf.resize(len, 0);
         self.hier.load(self.base + DATA_OFF + off, buf);
     }
+}
+
+#[cfg(test)]
+impl SubTable {
+    /// The remaining-space field (second header word).
+    pub(crate) fn remaining_space(&self) -> u64 {
+        self.hier.load_u64(self.base + 8)
+    }
 
     /// The hierarchy this slot lives in.
-    pub fn hierarchy(&self) -> &Arc<Hierarchy> {
+    pub(crate) fn hierarchy(&self) -> &Arc<Hierarchy> {
         &self.hier
     }
 }
@@ -220,7 +223,7 @@ impl SubTable {
 mod tests {
     use super::*;
     use cachekv_cache::CacheConfig;
-    use cachekv_lsm::kv::{decode_record_at, pack_meta, EntryKind};
+    use cachekv_lsm::{decode_record_at, pack_meta, EntryKind};
     use cachekv_pmem::{PmemConfig, PmemDevice};
 
     fn slot(size: u64) -> SubTable {

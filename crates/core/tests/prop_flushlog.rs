@@ -5,7 +5,7 @@
 //! (between preparing the inactive half and publishing the selector) must
 //! never lose the previous log.
 
-use cachekv::flushlog::FlushLog;
+use cachekv::FlushLog;
 use cachekv_cache::{CacheConfig, Hierarchy};
 use cachekv_pmem::{FaultPlan, LatencyConfig, PersistDomain, PmemConfig, PmemDevice};
 use proptest::prelude::*;

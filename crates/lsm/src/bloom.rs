@@ -79,11 +79,6 @@ impl Bloom {
             k,
         })
     }
-
-    /// Size of the encoded filter.
-    pub fn encoded_len(&self) -> usize {
-        4 + self.bits.len()
-    }
 }
 
 #[cfg(test)]

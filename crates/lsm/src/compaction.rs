@@ -9,13 +9,13 @@ use std::sync::Arc;
 
 /// Level-size policy.
 #[derive(Debug, Clone, Copy)]
-pub struct CompactionPolicy {
+pub(crate) struct CompactionPolicy {
     /// Number of L0 tables that triggers an L0→L1 compaction.
-    pub l0_trigger: usize,
+    pub(crate) l0_trigger: usize,
     /// Byte budget of L1.
-    pub level_base_bytes: u64,
+    pub(crate) level_base_bytes: u64,
     /// Each deeper level is this many times larger.
-    pub level_multiplier: u64,
+    pub(crate) level_multiplier: u64,
 }
 
 impl Default for CompactionPolicy {
@@ -30,7 +30,7 @@ impl Default for CompactionPolicy {
 
 impl CompactionPolicy {
     /// Byte budget of `level` (>= 1).
-    pub fn level_limit(&self, level: usize) -> u64 {
+    pub(crate) fn level_limit(&self, level: usize) -> u64 {
         debug_assert!(level >= 1);
         self.level_base_bytes * self.level_multiplier.pow(level as u32 - 1)
     }
@@ -38,15 +38,15 @@ impl CompactionPolicy {
 
 /// A chosen compaction: merge `inputs_lo` (from `level`) with `inputs_hi`
 /// (from `level + 1`) into new tables at `level + 1`.
-pub struct CompactionJob {
-    pub level: usize,
-    pub inputs_lo: Vec<Arc<TableHandle>>,
-    pub inputs_hi: Vec<Arc<TableHandle>>,
+pub(crate) struct CompactionJob {
+    pub(crate) level: usize,
+    pub(crate) inputs_lo: Vec<Arc<TableHandle>>,
+    pub(crate) inputs_hi: Vec<Arc<TableHandle>>,
 }
 
 impl CompactionJob {
     /// Total input bytes.
-    pub fn input_bytes(&self) -> u64 {
+    pub(crate) fn input_bytes(&self) -> u64 {
         self.inputs_lo
             .iter()
             .chain(&self.inputs_hi)
@@ -56,7 +56,10 @@ impl CompactionJob {
 }
 
 /// Decide whether `version` needs compacting, and what to compact.
-pub fn pick_compaction(version: &Version, policy: &CompactionPolicy) -> Option<CompactionJob> {
+pub(crate) fn pick_compaction(
+    version: &Version,
+    policy: &CompactionPolicy,
+) -> Option<CompactionJob> {
     let num_levels = version.levels.len();
     // L0 pressure first (it blocks flushes in real systems).
     if version.levels[0].len() >= policy.l0_trigger && num_levels > 1 {
@@ -166,7 +169,7 @@ pub fn dedup_newest(merged: impl Iterator<Item = Entry>, drop_tombstones: bool) 
 }
 
 /// Split deduped entries into output tables of roughly `target_bytes` each.
-pub fn split_outputs(entries: Vec<Entry>, target_bytes: u64) -> Vec<Vec<Entry>> {
+pub(crate) fn split_outputs(entries: Vec<Entry>, target_bytes: u64) -> Vec<Vec<Entry>> {
     let mut outputs = Vec::new();
     let mut cur = Vec::new();
     let mut cur_bytes = 0u64;

@@ -36,10 +36,10 @@ impl std::error::Error for Error {}
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// Maximum key length (u16-encoded on media).
-pub const MAX_KEY_LEN: usize = u16::MAX as usize;
+pub(crate) const MAX_KEY_LEN: usize = u16::MAX as usize;
 /// Maximum value length (bounded well below the u32 media encoding so a
 /// single entry always fits in a MemTable).
-pub const MAX_VALUE_LEN: usize = 1 << 20;
+pub(crate) const MAX_VALUE_LEN: usize = 1 << 20;
 
 /// What an internal entry represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,24 +84,6 @@ pub struct Entry {
 }
 
 impl Entry {
-    /// Build a live entry.
-    pub fn put(key: impl Into<Vec<u8>>, seq: u64, value: impl Into<Vec<u8>>) -> Self {
-        Entry {
-            key: key.into(),
-            meta: pack_meta(seq, EntryKind::Put),
-            value: value.into(),
-        }
-    }
-
-    /// Build a tombstone.
-    pub fn delete(key: impl Into<Vec<u8>>, seq: u64) -> Self {
-        Entry {
-            key: key.into(),
-            meta: pack_meta(seq, EntryKind::Delete),
-            value: Vec::new(),
-        }
-    }
-
     /// The entry's kind.
     pub fn kind(&self) -> EntryKind {
         meta_kind(self.meta)
@@ -208,6 +190,27 @@ pub trait KvStore: Send + Sync {
     /// a capturable device keep the `None` default.
     fn capture_image(&self) -> Option<Vec<Vec<u8>>> {
         None
+    }
+}
+
+#[cfg(test)]
+impl Entry {
+    /// Build a live entry.
+    pub(crate) fn put(key: impl Into<Vec<u8>>, seq: u64, value: impl Into<Vec<u8>>) -> Self {
+        Entry {
+            key: key.into(),
+            meta: pack_meta(seq, EntryKind::Put),
+            value: value.into(),
+        }
+    }
+
+    /// Build a tombstone.
+    pub(crate) fn delete(key: impl Into<Vec<u8>>, seq: u64) -> Self {
+        Entry {
+            key: key.into(),
+            meta: pack_meta(seq, EntryKind::Delete),
+            value: Vec::new(),
+        }
     }
 }
 

@@ -103,19 +103,9 @@ impl PmemSpace {
         }
     }
 
-    /// The underlying hierarchy.
-    pub fn hierarchy(&self) -> &Arc<Hierarchy> {
-        &self.hier
-    }
-
     /// Base address within the global persistent address space.
     pub fn base(&self) -> u64 {
         self.base
-    }
-
-    /// The flush discipline in force.
-    pub fn mode(&self) -> FlushMode {
-        self.mode
     }
 }
 
@@ -152,6 +142,14 @@ impl MemSpace for PmemSpace {
 
     fn capacity(&self) -> u64 {
         self.len
+    }
+}
+
+#[cfg(test)]
+impl PmemSpace {
+    /// The underlying hierarchy.
+    pub(crate) fn hierarchy(&self) -> &Arc<Hierarchy> {
+        &self.hier
     }
 }
 

@@ -27,7 +27,7 @@ impl<S: MemSpace> MemTable<S> {
     /// Create a MemTable whose skiplist arena lives in `space`; it reports
     /// full once the arena has less than one max-sized entry of headroom or
     /// `budget` bytes have been consumed.
-    pub fn new(space: S, budget: u64) -> Self {
+    pub(crate) fn new(space: S, budget: u64) -> Self {
         MemTable {
             list: SkipList::new(space),
             budget,
@@ -35,7 +35,7 @@ impl<S: MemSpace> MemTable<S> {
     }
 
     /// Insert a live entry.
-    pub fn put(&mut self, key: &[u8], seq: u64, value: &[u8]) -> Result<()> {
+    pub(crate) fn put(&mut self, key: &[u8], seq: u64, value: &[u8]) -> Result<()> {
         if key.len() > MAX_KEY_LEN {
             return Err(Error::TooLarge {
                 what: "key",
@@ -54,7 +54,7 @@ impl<S: MemSpace> MemTable<S> {
     }
 
     /// Insert a tombstone.
-    pub fn delete(&mut self, key: &[u8], seq: u64) -> Result<()> {
+    pub(crate) fn delete(&mut self, key: &[u8], seq: u64) -> Result<()> {
         if key.len() > MAX_KEY_LEN {
             return Err(Error::TooLarge {
                 what: "key",
@@ -67,7 +67,7 @@ impl<S: MemSpace> MemTable<S> {
     }
 
     /// Probe for the newest version of `key`.
-    pub fn get(&self, key: &[u8]) -> Lookup {
+    pub(crate) fn get(&self, key: &[u8]) -> Lookup {
         match self.list.get_latest(key) {
             None => Lookup::NotFound,
             Some((meta, value)) => match meta_kind(meta) {
@@ -78,32 +78,17 @@ impl<S: MemSpace> MemTable<S> {
     }
 
     /// Whether the table should be rotated out.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.list.arena_used() >= self.budget
     }
 
-    /// Entries currently held (including shadowed versions).
-    pub fn len(&self) -> usize {
-        self.list.len()
-    }
-
-    /// True if no entries were inserted.
-    pub fn is_empty(&self) -> bool {
-        self.list.is_empty()
-    }
-
-    /// Approximate bytes used.
-    pub fn bytes_used(&self) -> u64 {
-        self.list.arena_used()
-    }
-
     /// Sorted iteration (key asc, newest first) for flushing to an SSTable.
-    pub fn iter(&self) -> SkipIter<'_, S> {
+    pub(crate) fn iter(&self) -> SkipIter<'_, S> {
         self.list.iter()
     }
 
     /// Drain into owned entries (for table building).
-    pub fn entries(&self) -> Vec<Entry> {
+    pub(crate) fn entries(&self) -> Vec<Entry> {
         self.iter().collect()
     }
 }

@@ -16,7 +16,7 @@ use crate::kv::{internal_cmp, Entry, Error, Result};
 use crate::memspace::MemSpace;
 
 /// Maximum tower height.
-pub const MAX_HEIGHT: usize = 12;
+pub(crate) const MAX_HEIGHT: usize = 12;
 /// Branching factor: each level keeps ~1/4 of the one below.
 const BRANCHING: u64 = 4;
 
@@ -51,7 +51,7 @@ impl<S: MemSpace> SkipList<S> {
     }
 
     /// Build with an explicit height-RNG seed (deterministic tests).
-    pub fn with_seed(space: S, seed: u64) -> Self {
+    pub(crate) fn with_seed(space: S, seed: u64) -> Self {
         let mut list = SkipList {
             space,
             tail: HEAD_OFF,
@@ -69,18 +69,6 @@ impl<S: MemSpace> SkipList<S> {
         list
     }
 
-    /// Rebuild the handle over a space that already contains a list written
-    /// by a previous incarnation (crash recovery). `tail` and `len` must
-    /// come from a trusted source (e.g. CacheKV's persistent counters).
-    pub fn reopen(space: S, tail: u64, len: usize) -> Self {
-        SkipList {
-            space,
-            tail,
-            len,
-            rng: 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-
     /// Number of entries (including shadowed versions).
     pub fn len(&self) -> usize {
         self.len
@@ -92,7 +80,7 @@ impl<S: MemSpace> SkipList<S> {
     }
 
     /// Arena bytes consumed.
-    pub fn arena_used(&self) -> u64 {
+    pub(crate) fn arena_used(&self) -> u64 {
         self.tail
     }
 

@@ -48,7 +48,7 @@ impl Default for TableOptions {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableMeta {
     /// Unique table id.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Base address in the persistent space.
     pub base: u64,
     /// Total encoded length.
@@ -58,16 +58,19 @@ pub struct TableMeta {
     /// Largest user key.
     pub largest: Vec<u8>,
     /// Number of entries.
-    pub entries: u64,
+    pub(crate) entries: u64,
     /// Highest sequence number contained.
-    pub max_seq: u64,
+    pub(crate) max_seq: u64,
 }
 
 /// One block-index entry: `(block offset, block length, last user key)`.
-pub type BlockIndexEntry = (u64, u32, Vec<u8>);
+pub(crate) type BlockIndexEntry = (u64, u32, Vec<u8>);
 
 /// Serialize sorted `entries` (internal order) into table bytes.
-pub fn encode_table(entries: &[Entry], opts: &TableOptions) -> (Vec<u8>, Vec<BlockIndexEntry>) {
+pub(crate) fn encode_table(
+    entries: &[Entry],
+    opts: &TableOptions,
+) -> (Vec<u8>, Vec<BlockIndexEntry>) {
     let mut data = Vec::new();
     let mut index: Vec<BlockIndexEntry> = Vec::new();
     let mut block_start = 0usize;
@@ -214,7 +217,7 @@ impl TableHandle {
     }
 
     /// Whether `key` is within this table's key range.
-    pub fn overlaps_key(&self, key: &[u8]) -> bool {
+    pub(crate) fn overlaps_key(&self, key: &[u8]) -> bool {
         key >= self.meta.smallest.as_slice() && key <= self.meta.largest.as_slice()
     }
 
@@ -252,7 +255,7 @@ impl TableHandle {
     /// for `key` (tombstones have `EntryKind::Delete` metas). Used by
     /// CacheKV, which must compare versions *across* components because its
     /// per-core sub-MemTables do not globally order a key's versions.
-    pub fn get_versioned(&self, key: &[u8]) -> Option<(u64, Vec<u8>)> {
+    pub(crate) fn get_versioned(&self, key: &[u8]) -> Option<(u64, Vec<u8>)> {
         if !self.overlaps_key(key) || !self.bloom.may_contain(key) {
             return None;
         }
@@ -286,21 +289,10 @@ impl TableHandle {
 
     /// Iterate in internal order starting at the first block whose last
     /// key is `>= key`. Entries earlier in that block still precede `key`;
-    /// the caller filters them against its start bound.
-    pub fn iter_from(&self, key: &[u8]) -> TableIter<'_> {
-        TableIter {
-            table: self,
-            block_idx: self
-                .index
-                .partition_point(|(_, _, last)| last.as_slice() < key),
-            block: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    /// Like [`iter_from`](Self::iter_from) but owns its table handle, so a
-    /// long-lived scan cursor can hold the stream while the Arc pins the
-    /// table (and its reclaimable space) against compaction retirement.
+    /// the caller filters them against its start bound. The iterator owns
+    /// its table handle, so a long-lived scan cursor can hold the stream
+    /// while the Arc pins the table (and its reclaimable space) against
+    /// compaction retirement.
     pub fn iter_from_owned(self: &Arc<Self>, key: &[u8]) -> OwnedTableIter {
         OwnedTableIter {
             block_idx: self
@@ -314,7 +306,7 @@ impl TableHandle {
 
     /// Arrange for the table's space to return to `alloc` when the last
     /// reference drops (called after a compaction retires the table).
-    pub fn reclaim_with(&self, alloc: Arc<PmemAllocator>) {
+    pub(crate) fn reclaim_with(&self, alloc: Arc<PmemAllocator>) {
         *self.reclaim.lock() = Some(alloc);
     }
 }
@@ -523,17 +515,20 @@ mod tests {
             bloom_bits_per_key: 10,
         };
         let meta = build_table(&hier, &alloc, 1, &entries, &opts).unwrap();
-        let t = TableHandle::open(hier, meta).unwrap();
+        let t = Arc::new(TableHandle::open(hier, meta).unwrap());
         for start in [
             b"key000000".to_vec(),
             b"key000123".to_vec(),
             b"key000299".to_vec(),
         ] {
-            let got: Vec<Entry> = t.iter_from(&start).filter(|e| e.key >= start).collect();
+            let got: Vec<Entry> = t
+                .iter_from_owned(&start)
+                .filter(|e| e.key >= start)
+                .collect();
             let want: Vec<Entry> = entries.iter().filter(|e| e.key >= start).cloned().collect();
             assert_eq!(got, want, "start {:?}", String::from_utf8_lossy(&start));
         }
-        assert!(t.iter_from(b"key999999").next().is_none());
+        assert!(t.iter_from_owned(b"key999999").next().is_none());
     }
 
     #[test]

@@ -25,16 +25,16 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct StorageConfig {
     /// Level sizing / trigger policy.
-    pub policy: CompactionPolicy,
+    pub(crate) policy: CompactionPolicy,
     /// Total number of levels (`n + 1` in the paper's Figure 2).
-    pub num_levels: usize,
+    pub(crate) num_levels: usize,
     /// Target size of compaction output tables.
     pub table_target_bytes: u64,
     /// SSTable encoding knobs.
-    pub table_opts: TableOptions,
+    pub(crate) table_opts: TableOptions,
     /// Run compactions on a background thread (`true`, production) or
     /// inline inside `ingest` (`false`, deterministic tests).
-    pub background: bool,
+    pub(crate) background: bool,
 }
 
 impl Default for StorageConfig {
@@ -291,7 +291,7 @@ impl StorageComponent {
     }
 
     /// Kick (or run) compaction if policy demands it.
-    pub fn maybe_compact(&self) {
+    pub(crate) fn maybe_compact(&self) {
         let s = &self.shared;
         if s.cfg.background {
             let mut pending = s.pending.lock();
@@ -326,12 +326,6 @@ impl StorageComponent {
         while *pending > 0 {
             s.idle.wait(&mut pending);
         }
-    }
-
-    /// Bytes held at each level (reporting / tests).
-    pub fn level_bytes(&self) -> Vec<u64> {
-        let v = self.shared.vset.current();
-        (0..v.levels.len()).map(|i| v.level_bytes(i)).collect()
     }
 
     /// Table count at each level.

@@ -246,11 +246,6 @@ impl LsmTree {
     pub fn storage(&self) -> &StorageComponent {
         &self.storage
     }
-
-    /// The memory hierarchy.
-    pub fn hierarchy(&self) -> &Arc<Hierarchy> {
-        &self.hier
-    }
 }
 
 impl KvStore for LsmTree {

@@ -25,24 +25,19 @@ pub struct Version {
 
 impl Version {
     /// Create an empty version with `n` levels.
-    pub fn empty(n: usize) -> Self {
+    pub(crate) fn empty(n: usize) -> Self {
         Version {
             levels: (0..n).map(|_| Vec::new()).collect(),
         }
     }
 
     /// Total bytes of tables in `level`.
-    pub fn level_bytes(&self, level: usize) -> u64 {
+    pub(crate) fn level_bytes(&self, level: usize) -> u64 {
         self.levels[level].iter().map(|t| t.meta.len).sum()
     }
 
-    /// Total number of tables.
-    pub fn table_count(&self) -> usize {
-        self.levels.iter().map(|l| l.len()).sum()
-    }
-
     /// Tables in `level` overlapping the user-key range `[lo, hi]`.
-    pub fn overlapping(&self, level: usize, lo: &[u8], hi: &[u8]) -> Vec<Arc<TableHandle>> {
+    pub(crate) fn overlapping(&self, level: usize, lo: &[u8], hi: &[u8]) -> Vec<Arc<TableHandle>> {
         self.levels[level]
             .iter()
             .filter(|t| t.meta.smallest.as_slice() <= hi && t.meta.largest.as_slice() >= lo)
@@ -53,7 +48,7 @@ impl Version {
 
 /// A structural change, durably logged before application.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VersionEdit {
+pub(crate) enum VersionEdit {
     /// A new table enters `level`.
     AddTable { level: u32, meta: TableMeta },
     /// Table `id` leaves `level` (space reclaimed when last reader drops).
@@ -62,7 +57,7 @@ pub enum VersionEdit {
 
 impl VersionEdit {
     /// Encode for the manifest log.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut b = Vec::new();
         match self {
             VersionEdit::AddTable { level, meta } => {
@@ -88,7 +83,7 @@ impl VersionEdit {
     }
 
     /// Decode a manifest record.
-    pub fn decode(b: &[u8]) -> Result<Self> {
+    pub(crate) fn decode(b: &[u8]) -> Result<Self> {
         let bad = || Error::Corruption("manifest record truncated".into());
         if b.is_empty() {
             return Err(bad());
@@ -157,7 +152,7 @@ pub struct VersionSet {
 impl VersionSet {
     /// Create a fresh set whose manifest lives in `[manifest_base,
     /// manifest_base+manifest_cap)`.
-    pub fn create(
+    pub(crate) fn create(
         hier: Arc<Hierarchy>,
         alloc: Arc<PmemAllocator>,
         manifest_base: u64,
@@ -182,7 +177,7 @@ impl VersionSet {
 
     /// Rebuild the set after a crash by replaying the manifest region. Live
     /// table regions are re-reserved from `alloc`.
-    pub fn recover(
+    pub(crate) fn recover(
         hier: Arc<Hierarchy>,
         alloc: Arc<PmemAllocator>,
         manifest_base: u64,
@@ -248,13 +243,8 @@ impl VersionSet {
         self.current.read().clone()
     }
 
-    /// Number of configured levels.
-    pub fn num_levels(&self) -> usize {
-        self.num_levels
-    }
-
     /// Allocate a fresh table id.
-    pub fn new_table_id(&self) -> u64 {
+    pub(crate) fn new_table_id(&self) -> u64 {
         self.next_table_id.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -276,7 +266,7 @@ impl VersionSet {
     /// Durably log `edits`, then apply them to produce a new current
     /// version. Removed tables are handed back to the allocator once their
     /// last reader drops.
-    pub fn apply(&self, edits: Vec<VersionEdit>) -> Result<()> {
+    pub(crate) fn apply(&self, edits: Vec<VersionEdit>) -> Result<()> {
         for e in &edits {
             self.manifest.append(&e.encode());
         }
@@ -308,13 +298,21 @@ impl VersionSet {
     }
 
     /// The hierarchy tables are opened against.
-    pub fn hierarchy(&self) -> &Arc<Hierarchy> {
+    pub(crate) fn hierarchy(&self) -> &Arc<Hierarchy> {
         &self.hier
     }
 
     /// The allocator table space comes from.
-    pub fn allocator(&self) -> &Arc<PmemAllocator> {
+    pub(crate) fn allocator(&self) -> &Arc<PmemAllocator> {
         &self.alloc
+    }
+}
+
+#[cfg(test)]
+impl Version {
+    /// Total number of tables.
+    pub(crate) fn table_count(&self) -> usize {
+        self.levels.iter().map(|l| l.len()).sum()
     }
 }
 

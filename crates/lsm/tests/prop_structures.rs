@@ -3,12 +3,10 @@
 //! soundness.
 
 use cachekv_cache::{CacheConfig, Hierarchy};
-use cachekv_lsm::bloom::Bloom;
-use cachekv_lsm::compaction::{dedup_newest, MergeIter};
-use cachekv_lsm::kv::{internal_cmp, pack_meta, Entry, EntryKind};
-use cachekv_lsm::memtable::Lookup;
-use cachekv_lsm::sstable::{build_table, TableHandle, TableOptions};
-use cachekv_lsm::{DramSpace, SkipList};
+use cachekv_lsm::{
+    build_table, dedup_newest, internal_cmp, pack_meta, Bloom, DramSpace, Entry, EntryKind, Lookup,
+    MergeIter, SkipList, TableHandle, TableOptions,
+};
 use cachekv_pmem::{LatencyConfig, PmemConfig, PmemDevice};
 use cachekv_storage::PmemAllocator;
 use proptest::prelude::*;
@@ -37,7 +35,7 @@ proptest! {
         prop_assert!(list.check_ordered());
         for (key, (seq, value)) in &model {
             let (meta, got) = list.get_latest(key).expect("inserted key findable");
-            prop_assert_eq!(cachekv_lsm::kv::meta_seq(meta), *seq);
+            prop_assert_eq!(cachekv_lsm::meta_seq(meta), *seq);
             prop_assert_eq!(&got, value);
         }
         // Iteration covers exactly the inserted multiset, in internal order.

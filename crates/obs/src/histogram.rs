@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: one for zero plus one per possible bit length.
-pub const BUCKETS: usize = 65;
+pub(crate) const BUCKETS: usize = 65;
 
 /// Index of the bucket that holds `v`.
 #[inline]
@@ -19,14 +19,6 @@ pub fn bucket_index(v: u64) -> usize {
         0
     } else {
         64 - v.leading_zeros() as usize
-    }
-}
-
-/// Smallest value that lands in bucket `i`.
-pub fn bucket_lower(i: usize) -> u64 {
-    match i {
-        0 => 0,
-        _ => 1u64 << (i - 1),
     }
 }
 
@@ -73,11 +65,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// Fold another histogram's contents into this one.
     pub fn merge_from(&self, other: &Histogram) {
         for (i, b) in other.buckets.iter().enumerate() {
@@ -92,16 +79,6 @@ impl Histogram {
             .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
         self.max
             .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Zero every bucket and aggregate.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 
     /// Point-in-time copy (sparse: only non-empty buckets).
@@ -171,6 +148,28 @@ impl HistogramSnapshot {
         } else {
             self.sum as f64 / self.count as f64
         }
+    }
+}
+
+#[cfg(test)]
+impl Histogram {
+    /// Zero every bucket and aggregate.
+    pub(crate) fn reset(&self) {
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
+        }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
+    }
+}
+
+/// Smallest value that lands in bucket `i`.
+#[cfg(test)]
+pub(crate) fn bucket_lower(i: usize) -> u64 {
+    match i {
+        0 => 0,
+        _ => 1u64 << (i - 1),
     }
 }
 

@@ -49,7 +49,7 @@ impl Json {
     }
 
     /// The value as an i64, if integral.
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Int(i) => Some(*i),
             Json::UInt(u) if *u <= i64::MAX as u64 => Some(*u as i64),

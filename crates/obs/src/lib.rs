@@ -14,13 +14,13 @@
 //!   point-in-time view, JSON-serializable without external dependencies via
 //!   the bundled [`Json`] value type.
 
-pub mod histogram;
-pub mod json;
-pub mod phase;
-pub mod registry;
-pub mod snapshot;
+mod histogram;
+mod json;
+mod phase;
+mod registry;
+mod snapshot;
 
-pub use histogram::{bucket_index, bucket_lower, bucket_upper, Histogram, HistogramSnapshot};
+pub use histogram::{bucket_index, bucket_upper, Histogram, HistogramSnapshot};
 pub use json::Json;
 pub use phase::{
     timed, HousekeepPhase, HousekeepPhaseSet, Phase, PhaseKind, PhaseSet, PhaseSetOf, ReadPhase,

@@ -132,7 +132,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in presentation order.
-    pub const ALL: [Phase; 5] = [
+    pub(crate) const ALL: [Phase; 5] = [
         Phase::LockWait,
         Phase::Alloc,
         Phase::IndexUpdate,
@@ -141,7 +141,7 @@ impl Phase {
     ];
 
     /// Stable metric-name component.
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             Phase::LockWait => "lock_wait",
             Phase::Alloc => "alloc",
@@ -181,7 +181,7 @@ pub enum ReadPhase {
 
 impl ReadPhase {
     /// Every read phase, in probe order.
-    pub const ALL: [ReadPhase; 4] = [
+    pub(crate) const ALL: [ReadPhase; 4] = [
         ReadPhase::ActiveProbe,
         ReadPhase::ImmProbe,
         ReadPhase::GlobalProbe,
@@ -189,7 +189,7 @@ impl ReadPhase {
     ];
 
     /// Stable metric-name component.
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             ReadPhase::ActiveProbe => "active_probe",
             ReadPhase::ImmProbe => "imm_probe",
@@ -229,7 +229,7 @@ pub enum HousekeepPhase {
 
 impl HousekeepPhase {
     /// Every housekeeping phase, in execution order.
-    pub const ALL: [HousekeepPhase; 4] = [
+    pub(crate) const ALL: [HousekeepPhase; 4] = [
         HousekeepPhase::Plan,
         HousekeepPhase::Merge,
         HousekeepPhase::Swap,
@@ -237,7 +237,7 @@ impl HousekeepPhase {
     ];
 
     /// Stable metric-name component.
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             HousekeepPhase::Plan => "plan",
             HousekeepPhase::Merge => "merge",
@@ -267,7 +267,6 @@ struct PhaseInstruments {
 /// Registered instruments for one operation kind (e.g. `put`): per-phase
 /// totals + histograms, plus an op counter.
 pub struct PhaseSetOf<P: PhaseKind> {
-    source: TimeSource,
     phases: Vec<PhaseInstruments>,
     ops: Arc<Counter>,
     _kind: std::marker::PhantomData<P>,
@@ -283,7 +282,7 @@ pub type HousekeepPhaseSet = PhaseSetOf<HousekeepPhase>;
 impl<P: PhaseKind> PhaseSetOf<P> {
     /// Register `{prefix}.phase.{phase}.total_ns` counters,
     /// `{prefix}.phase.{phase}.ns` histograms, and a `{prefix}.ops` counter.
-    pub fn register(reg: &Registry, prefix: &str, source: TimeSource) -> PhaseSetOf<P> {
+    pub fn register(reg: &Registry, prefix: &str) -> PhaseSetOf<P> {
         let phases = P::all()
             .iter()
             .map(|p| PhaseInstruments {
@@ -292,7 +291,6 @@ impl<P: PhaseKind> PhaseSetOf<P> {
             })
             .collect();
         PhaseSetOf {
-            source,
             phases,
             ops: reg.counter(&format!("{prefix}.ops")),
             _kind: std::marker::PhantomData,
@@ -305,26 +303,12 @@ impl<P: PhaseKind> PhaseSetOf<P> {
         self.ops.inc();
     }
 
-    /// Time `f` and attribute the elapsed nanoseconds to `phase`.
-    #[inline]
-    pub fn timed<T>(&self, phase: P, f: impl FnOnce() -> T) -> T {
-        let start = self.source.now();
-        let out = f();
-        self.record(phase, start.elapsed_ns());
-        out
-    }
-
     /// Attribute pre-measured nanoseconds to `phase`.
     #[inline]
     pub fn record(&self, phase: P, ns: u64) {
         let inst = &self.phases[phase.index()];
         inst.total_ns.add(ns);
         inst.hist.record(ns);
-    }
-
-    /// The time source phases are measured with.
-    pub fn source(&self) -> TimeSource {
-        self.source
     }
 }
 
@@ -336,6 +320,17 @@ pub fn timed<T>(source: TimeSource, hist: &Histogram, f: impl FnOnce() -> T) -> 
     let out = f();
     hist.record(start.elapsed_ns());
     out
+}
+
+#[cfg(test)]
+impl<P: PhaseKind> PhaseSetOf<P> {
+    /// Time `f` with `source` and attribute the elapsed nanoseconds to `phase`.
+    fn timed<T>(&self, source: TimeSource, phase: P, f: impl FnOnce() -> T) -> T {
+        let start = source.now();
+        let out = f();
+        self.record(phase, start.elapsed_ns());
+        out
+    }
 }
 
 #[cfg(test)]
@@ -351,7 +346,7 @@ mod tests {
             ["active_probe", "imm_probe", "global_probe", "lsm_probe"]
         );
         let reg = Registry::new();
-        let set = ReadPhaseSet::register(&reg, "get", TimeSource::Virtual);
+        let set = ReadPhaseSet::register(&reg, "get");
         set.record(ReadPhase::LsmProbe, 9);
         set.op();
         let export = reg.export();
@@ -376,10 +371,10 @@ mod tests {
     fn virtual_timing_is_exact_and_deterministic() {
         let clock = Clock::counting();
         let reg = Registry::new();
-        let set = PhaseSet::register(&reg, "put", TimeSource::Virtual);
-        set.timed(Phase::DataCopy, || clock.charge(120));
-        set.timed(Phase::DataCopy, || clock.charge(80));
-        set.timed(Phase::Persist, || clock.charge(7));
+        let set = PhaseSet::register(&reg, "put");
+        set.timed(TimeSource::Virtual, Phase::DataCopy, || clock.charge(120));
+        set.timed(TimeSource::Virtual, Phase::DataCopy, || clock.charge(80));
+        set.timed(TimeSource::Virtual, Phase::Persist, || clock.charge(7));
         set.op();
         let export = reg.export();
         assert_eq!(export.counters["put.phase.data_copy.total_ns"], 200);
@@ -393,8 +388,8 @@ mod tests {
     #[test]
     fn wall_timing_is_nonzero_for_real_work() {
         let reg = Registry::new();
-        let set = PhaseSet::register(&reg, "op", TimeSource::Wall);
-        set.timed(Phase::IndexUpdate, || {
+        let set = PhaseSet::register(&reg, "op");
+        set.timed(TimeSource::Wall, Phase::IndexUpdate, || {
             std::thread::sleep(std::time::Duration::from_millis(1))
         });
         assert!(reg.export().counters["op.phase.index_update.total_ns"] >= 1_000_000);

@@ -176,11 +176,6 @@ impl MetricsExport {
         self.gauges.insert(name.to_string(), v);
     }
 
-    /// Insert a snapshot-time histogram.
-    pub fn insert_histogram(&mut self, name: &str, h: HistogramSnapshot) {
-        self.histograms.insert(name.to_string(), h);
-    }
-
     /// Serialize to a JSON value.
     pub fn to_json(&self) -> Json {
         let counters = Json::Obj(
@@ -209,7 +204,7 @@ impl MetricsExport {
     }
 
     /// Rebuild from a JSON value produced by [`MetricsExport::to_json`].
-    pub fn from_json(v: &Json) -> Result<MetricsExport, String> {
+    pub(crate) fn from_json(v: &Json) -> Result<MetricsExport, String> {
         let mut out = MetricsExport::default();
         if let Some(map) = v.get("counters").and_then(Json::as_obj) {
             for (k, val) in map {

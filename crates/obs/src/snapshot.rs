@@ -30,7 +30,7 @@ impl StatsSnapshot {
     /// Serialize to a JSON value. Derived ratios (write hit ratio, write
     /// amplification, load hit ratio) are included so artifacts are directly
     /// plottable without re-deriving them.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj(vec![
             ("system", Json::Str(self.system.clone())),
             ("device", device_to_json(&self.device)),
@@ -45,7 +45,7 @@ impl StatsSnapshot {
         self.to_json().to_string()
     }
 
-    /// Rebuild from a JSON value produced by [`StatsSnapshot::to_json`].
+    /// Rebuild from a JSON value produced by `StatsSnapshot::to_json`.
     pub fn from_json(v: &Json) -> Result<StatsSnapshot, String> {
         Ok(StatsSnapshot {
             system: v

@@ -25,19 +25,19 @@ pub enum PersistDomain {
 pub struct LatencyConfig {
     /// Reading one 256 B XPLine from the media (e.g., an XPBuffer
     /// read-modify-write, or a load miss that reaches the device).
-    pub media_read_256_ns: u64,
+    pub(crate) media_read_256_ns: u64,
     /// Writing one 256 B XPLine to the media.
-    pub media_write_256_ns: u64,
+    pub(crate) media_write_256_ns: u64,
     /// Landing one 64 B cacheline in the WPQ/XPBuffer (paid by every
     /// cacheline arriving at the device).
-    pub buffer_write_64_ns: u64,
+    pub(crate) buffer_write_64_ns: u64,
     /// `clflush` instruction overhead (beyond the device-side write), which
     /// invalidates the line and stalls the store pipeline.
     pub clflush_ns: u64,
     /// `clwb` instruction overhead: writes back but retains the line.
     pub clwb_ns: u64,
     /// `sfence` / persistence barrier.
-    pub sfence_ns: u64,
+    pub(crate) sfence_ns: u64,
     /// Non-temporal 64 B store issued by the CPU (bypasses the cache; the
     /// device-side `buffer_write_64_ns` is charged in addition).
     pub nt_store_64_ns: u64,
@@ -82,16 +82,16 @@ impl LatencyConfig {
 pub struct PmemConfig {
     /// Number of DIMMs in the interleave set. The paper's testbed used four
     /// 128 GB Optane PMem 200-series DIMMs in interleaved App Direct mode.
-    pub num_dimms: usize,
+    pub(crate) num_dimms: usize,
     /// Capacity of each DIMM in bytes (scaled down from hardware).
-    pub dimm_capacity: usize,
+    pub(crate) dimm_capacity: usize,
     /// Interleaving granularity across DIMMs, 4 KiB on real platforms.
-    pub interleave: usize,
+    pub(crate) interleave: usize,
     /// Number of XPLine slots in each DIMM's XPBuffer. Characterization
     /// studies place the XPBuffer around 16 KiB, i.e. 64 XPLines.
-    pub xpbuffer_slots: usize,
+    pub(crate) xpbuffer_slots: usize,
     /// Persistence domain of the platform.
-    pub domain: PersistDomain,
+    pub(crate) domain: PersistDomain,
     /// Latency model.
     pub latency: LatencyConfig,
 }

@@ -184,7 +184,7 @@ impl PmemDevice {
     }
 
     /// Install a fault plan and arm the event counter (see
-    /// [`crate::faults`] for the trip protocol). Replaces any
+    /// [`FaultPlan`] for the trip protocol). Replaces any
     /// previous plan and clears a pending report.
     pub fn install_fault_plan(&self, plan: FaultPlan) {
         self.faults.arm(plan);

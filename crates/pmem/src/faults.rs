@@ -41,7 +41,7 @@ use std::sync::Mutex;
 
 /// The classes of persistence events a [`FaultPlan`] counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultEventKind {
+pub(crate) enum FaultEventKind {
     /// One 64 B cacheline handed to the device.
     CachelineWrite,
     /// One XPLine pushed from the XPBuffer to the media.
@@ -58,20 +58,20 @@ pub enum FaultEventKind {
 pub struct FaultPlan {
     /// 1-based persistence-event index to crash after. `u64::MAX` never
     /// trips — useful for counting the total events of a workload.
-    pub trip_at: u64,
+    pub(crate) trip_at: u64,
     /// Discard un-evicted XPBuffer slots from the crash image instead of
     /// applying them (torn-platform mode; see module docs).
-    pub drop_xpbuffer: bool,
+    pub(crate) drop_xpbuffer: bool,
     /// With `drop_xpbuffer`: partially apply the most recently touched
     /// XPLine, tearing it at sector granularity.
-    pub tear_inflight: bool,
+    pub(crate) tear_inflight: bool,
     /// Drives the deterministic choice of torn sectors.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Record `(event index, fault-context label)` for every event counted
     /// on a thread inside a [`fault_context`] scope. Crash sweeps use the
     /// trace of a baseline run to aim follow-up trips at specific code
     /// paths (copy-flush, L0 dump, log reset, ...).
-    pub trace: bool,
+    pub(crate) trace: bool,
 }
 
 impl FaultPlan {
@@ -116,9 +116,9 @@ impl FaultPlan {
 #[derive(Clone)]
 pub struct TripReport {
     /// The 1-based event index that tripped (equals the plan's `trip_at`).
-    pub event_index: u64,
+    pub(crate) event_index: u64,
     /// The kind of the triggering event.
-    pub kind: FaultEventKind,
+    pub(crate) kind: FaultEventKind,
     /// The fault-context label stack of the tripping thread, outermost
     /// first (see [`fault_context`]).
     pub context: Vec<&'static str>,
@@ -146,7 +146,7 @@ pub(crate) const PHASE_TRIPPED: u8 = 3;
 
 /// Observer invoked at trip time, before the survivor image is captured.
 /// The cache crate registers the eADR writeback here.
-pub type FaultObserver = Box<dyn Fn() + Send + Sync>;
+pub(crate) type FaultObserver = Box<dyn Fn() + Send + Sync>;
 
 /// Per-device fault state. All fast-path reads are a single atomic load.
 pub(crate) struct FaultState {

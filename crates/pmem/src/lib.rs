@@ -38,18 +38,18 @@
 //! assert_eq!(stats.media_write_bytes, 256);
 //! ```
 
-pub mod clock;
-pub mod config;
-pub mod device;
-pub mod faults;
-pub mod media;
-pub mod stats;
-pub mod xpbuffer;
+mod clock;
+mod config;
+mod device;
+mod faults;
+mod media;
+mod stats;
+mod xpbuffer;
 
 pub use clock::{Clock, ClockMode};
 pub use config::{LatencyConfig, PersistDomain, PmemConfig};
 pub use device::PmemDevice;
-pub use faults::{fault_context, FaultEventKind, FaultPlan, TripReport};
+pub use faults::{fault_context, FaultContextGuard, FaultPlan, TripReport};
 pub use stats::PmemStats;
 
 /// Size of a CPU cacheline in bytes: the granularity at which the CPU hands
@@ -58,7 +58,7 @@ pub const CACHELINE: usize = 64;
 
 /// Size of an XPLine in bytes: the constant access granularity of the Optane
 /// PMem media (Section II-B, Feature 1 of the paper).
-pub const XPLINE: usize = 256;
+pub(crate) const XPLINE: usize = 256;
 
 /// Number of cacheline-sized sectors per XPLine.
-pub const SECTORS_PER_XPLINE: usize = XPLINE / CACHELINE;
+pub(crate) const SECTORS_PER_XPLINE: usize = XPLINE / CACHELINE;

@@ -5,7 +5,7 @@ use crate::{CACHELINE, XPLINE};
 
 /// A single simulated DIMM. The device wraps each in a mutex; methods here
 /// assume exclusive access.
-pub struct Dimm {
+pub(crate) struct Dimm {
     media: Vec<u8>,
     buffer: XpBuffer,
 }
@@ -13,13 +13,13 @@ pub struct Dimm {
 /// Accounting outcome for a DIMM-level operation, consumed by the device to
 /// update counters and charge latency.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct DimmEffects {
-    pub hits: u64,
-    pub misses: u64,
-    pub media_reads_256: u64,
-    pub media_writes_256: u64,
-    pub rmw_evictions: u64,
-    pub full_evictions: u64,
+pub(crate) struct DimmEffects {
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+    pub(crate) media_reads_256: u64,
+    pub(crate) media_writes_256: u64,
+    pub(crate) rmw_evictions: u64,
+    pub(crate) full_evictions: u64,
 }
 
 impl DimmEffects {
@@ -38,7 +38,7 @@ impl DimmEffects {
 impl Dimm {
     /// Create a DIMM with `capacity` bytes of zeroed media and an XPBuffer of
     /// `xpbuffer_slots` XPLines.
-    pub fn new(capacity: usize, xpbuffer_slots: usize) -> Self {
+    pub(crate) fn new(capacity: usize, xpbuffer_slots: usize) -> Self {
         assert_eq!(capacity % XPLINE, 0, "capacity must be XPLine aligned");
         Dimm {
             media: vec![0u8; capacity],
@@ -48,7 +48,7 @@ impl Dimm {
 
     /// Rebuild a DIMM around existing media contents (crash-image reopen).
     /// The XPBuffer starts empty.
-    pub fn from_media(media: Vec<u8>, xpbuffer_slots: usize) -> Self {
+    pub(crate) fn from_media(media: Vec<u8>, xpbuffer_slots: usize) -> Self {
         assert_eq!(media.len() % XPLINE, 0, "capacity must be XPLine aligned");
         Dimm {
             media,
@@ -57,22 +57,17 @@ impl Dimm {
     }
 
     /// Raw media contents, *excluding* anything staged in the XPBuffer.
-    pub fn media(&self) -> &[u8] {
+    pub(crate) fn media(&self) -> &[u8] {
         &self.media
     }
 
     /// Snapshot of the open XPBuffer slots (fault-injection capture).
-    pub fn buffer_snapshot(&self) -> Vec<crate::xpbuffer::SlotSnapshot> {
+    pub(crate) fn buffer_snapshot(&self) -> Vec<crate::xpbuffer::SlotSnapshot> {
         self.buffer.snapshot()
     }
 
-    /// DIMM capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.media.len()
-    }
-
     /// Stage one cacheline at DIMM-local offset `off`.
-    pub fn write_cacheline(&mut self, off: u64, data: &[u8; CACHELINE]) -> DimmEffects {
+    pub(crate) fn write_cacheline(&mut self, off: u64, data: &[u8; CACHELINE]) -> DimmEffects {
         assert!(
             off as usize + CACHELINE <= self.media.len(),
             "write past DIMM end"
@@ -93,7 +88,7 @@ impl Dimm {
     /// Read `buf.len()` bytes at DIMM-local offset `off`, coherent with any
     /// pending XPBuffer contents. Returns the number of 256 B media reads
     /// charged (one per touched XPLine).
-    pub fn read(&self, off: u64, buf: &mut [u8]) -> u64 {
+    pub(crate) fn read(&self, off: u64, buf: &mut [u8]) -> u64 {
         let end = off as usize + buf.len();
         assert!(end <= self.media.len(), "read past DIMM end");
         buf.copy_from_slice(&self.media[off as usize..end]);
@@ -104,16 +99,19 @@ impl Dimm {
     }
 
     /// Flush the XPBuffer to the media (power-fail drain).
-    pub fn drain(&mut self) -> DimmEffects {
+    pub(crate) fn drain(&mut self) -> DimmEffects {
         let mut fx = DimmEffects::default();
         for ev in self.buffer.drain(&mut self.media) {
             fx.absorb(ev);
         }
         fx
     }
+}
 
+#[cfg(test)]
+impl Dimm {
     /// Number of open XPBuffer slots (for tests).
-    pub fn buffered_lines(&self) -> usize {
+    pub(crate) fn buffered_lines(&self) -> usize {
         self.buffer.len()
     }
 }

@@ -9,30 +9,30 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared atomic counters, one set per device (aggregated across DIMMs).
 #[derive(Debug, Default)]
-pub struct StatsCell {
+pub(crate) struct StatsCell {
     /// Number of 64 B cachelines the CPU side handed to the device.
-    pub cpu_writes: AtomicU64,
+    pub(crate) cpu_writes: AtomicU64,
     /// Cacheline writes that landed in an already-open XPLine slot.
-    pub xpbuffer_hits: AtomicU64,
+    pub(crate) xpbuffer_hits: AtomicU64,
     /// Cacheline writes that had to open a new XPLine slot.
-    pub xpbuffer_misses: AtomicU64,
+    pub(crate) xpbuffer_misses: AtomicU64,
     /// Bytes read from the media (RMW completions and load misses).
-    pub media_read_bytes: AtomicU64,
+    pub(crate) media_read_bytes: AtomicU64,
     /// Bytes written to the media (always multiples of 256).
-    pub media_write_bytes: AtomicU64,
+    pub(crate) media_write_bytes: AtomicU64,
     /// XPLine evictions that needed a read-modify-write (partial line).
-    pub rmw_evictions: AtomicU64,
+    pub(crate) rmw_evictions: AtomicU64,
     /// XPLine evictions with all four sectors dirty (no RMW needed).
-    pub full_evictions: AtomicU64,
+    pub(crate) full_evictions: AtomicU64,
     /// Number of read operations served by the device.
-    pub reads: AtomicU64,
+    pub(crate) reads: AtomicU64,
     /// Power failures injected on this device.
-    pub power_failures: AtomicU64,
+    pub(crate) power_failures: AtomicU64,
 }
 
 impl StatsCell {
     /// Take an immutable snapshot of the counters.
-    pub fn snapshot(&self) -> PmemStats {
+    pub(crate) fn snapshot(&self) -> PmemStats {
         PmemStats {
             cpu_writes: self.cpu_writes.load(Ordering::Relaxed),
             xpbuffer_hits: self.xpbuffer_hits.load(Ordering::Relaxed),
@@ -47,7 +47,7 @@ impl StatsCell {
     }
 
     /// Zero every counter (e.g., after a warm-up phase).
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.cpu_writes.store(0, Ordering::Relaxed);
         self.xpbuffer_hits.store(0, Ordering::Relaxed);
         self.xpbuffer_misses.store(0, Ordering::Relaxed);
@@ -97,9 +97,12 @@ impl PmemStats {
             self.media_write_bytes as f64 / cpu_bytes as f64
         }
     }
+}
 
+#[cfg(test)]
+impl PmemStats {
     /// Difference between two snapshots (`self` taken after `earlier`).
-    pub fn delta_since(&self, earlier: &PmemStats) -> PmemStats {
+    pub(crate) fn delta_since(&self, earlier: &PmemStats) -> PmemStats {
         PmemStats {
             cpu_writes: self.cpu_writes - earlier.cpu_writes,
             xpbuffer_hits: self.xpbuffer_hits - earlier.xpbuffer_hits,

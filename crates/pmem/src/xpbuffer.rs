@@ -26,7 +26,7 @@ struct Slot {
 
 /// What happened to a slot that was pushed out to the media.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Eviction {
+pub(crate) enum Eviction {
     /// All four sectors were dirty; one clean 256 B media write.
     Full,
     /// Some sectors were missing; the media line was read, merged, and
@@ -36,28 +36,28 @@ pub enum Eviction {
 
 /// Read-only view of one open slot, taken for fault-injection capture.
 #[derive(Debug, Clone)]
-pub struct SlotSnapshot {
+pub(crate) struct SlotSnapshot {
     /// XPLine-aligned DIMM-local offset.
-    pub line: u64,
+    pub(crate) line: u64,
     /// The staged data; only sectors set in `valid_mask` are meaningful.
-    pub data: [u8; XPLINE],
+    pub(crate) data: [u8; XPLINE],
     /// Bit i set => sector i holds CPU data newer than the media.
-    pub valid_mask: u8,
+    pub(crate) valid_mask: u8,
     /// LRU timestamp; the maximum across slots is the in-flight line.
-    pub tick: u64,
+    pub(crate) tick: u64,
 }
 
 /// Outcome of staging one cacheline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteOutcome {
+pub(crate) struct WriteOutcome {
     /// Whether the cacheline hit an already-open XPLine slot.
-    pub hit: bool,
+    pub(crate) hit: bool,
     /// Eviction triggered to make room, if any.
-    pub evicted: Option<Eviction>,
+    pub(crate) evicted: Option<Eviction>,
 }
 
 /// A bounded write-combining buffer in front of one DIMM's media.
-pub struct XpBuffer {
+pub(crate) struct XpBuffer {
     slots: HashMap<u64, Slot>,
     capacity: usize,
     next_tick: u64,
@@ -65,7 +65,7 @@ pub struct XpBuffer {
 
 impl XpBuffer {
     /// Create a buffer with room for `capacity` XPLines (must be > 0).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "XPBuffer needs at least one slot");
         XpBuffer {
             slots: HashMap::with_capacity(capacity + 1),
@@ -74,13 +74,8 @@ impl XpBuffer {
         }
     }
 
-    /// Number of currently open slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Snapshot of every open slot, sorted by line offset for determinism.
-    pub fn snapshot(&self) -> Vec<SlotSnapshot> {
+    pub(crate) fn snapshot(&self) -> Vec<SlotSnapshot> {
         let mut out: Vec<SlotSnapshot> = self
             .slots
             .iter()
@@ -95,15 +90,10 @@ impl XpBuffer {
         out
     }
 
-    /// True when no slots are open.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Stage one 64 B cacheline destined for DIMM-local offset `off` (must be
     /// 64 B aligned). `media` is the DIMM's backing store, updated in place
     /// when an eviction occurs.
-    pub fn write_cacheline(
+    pub(crate) fn write_cacheline(
         &mut self,
         off: u64,
         data: &[u8; CACHELINE],
@@ -159,7 +149,7 @@ impl XpBuffer {
 
     /// Write every open slot to the media (power-fail drain or explicit
     /// flush). Returns the evictions performed, for accounting.
-    pub fn drain(&mut self, media: &mut [u8]) -> Vec<Eviction> {
+    pub(crate) fn drain(&mut self, media: &mut [u8]) -> Vec<Eviction> {
         let mut lines: Vec<u64> = self.slots.keys().copied().collect();
         lines.sort_unstable();
         let mut out = Vec::with_capacity(lines.len());
@@ -191,7 +181,7 @@ impl XpBuffer {
     /// Overlay any buffered (newer-than-media) bytes in `[off, off+buf.len())`
     /// onto `buf`, which the caller pre-filled from the media. Keeps reads
     /// coherent with pending writes.
-    pub fn overlay_reads(&self, off: u64, buf: &mut [u8]) {
+    pub(crate) fn overlay_reads(&self, off: u64, buf: &mut [u8]) {
         if self.slots.is_empty() || buf.is_empty() {
             return;
         }
@@ -217,6 +207,19 @@ impl XpBuffer {
             }
             line += XPLINE as u64;
         }
+    }
+}
+
+#[cfg(test)]
+impl XpBuffer {
+    /// Number of currently open slots.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when no slots are open.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.is_empty()
     }
 }
 

@@ -54,7 +54,7 @@
 //! committer walks all slabs at round publication — writes pay the
 //! fan-out, reads stay core-local.
 //!
-//! Admission is a sampled frequency sketch ([`FreqSketch`], TinyLFU-style)
+//! Admission is a sampled frequency sketch (`FreqSketch`, TinyLFU-style)
 //! and eviction is CLOCK; each slab enforces a hard byte cap.
 
 use crate::obs::ServerObs;
@@ -89,13 +89,13 @@ pub fn key_hash(key: &[u8]) -> u64 {
 pub struct HotCacheConfig {
     /// Total byte cap across all replicas. `0` disables the tier entirely
     /// (no slabs are allocated and it cannot be enabled at runtime).
-    pub capacity_bytes: usize,
+    pub(crate) capacity_bytes: usize,
     /// Per-core replica slabs. `0` = auto (available parallelism, max 8).
-    pub replicas: usize,
+    pub(crate) replicas: usize,
     /// Round-log slots per shard: how many group-commit rounds back an
     /// idle entry can be re-validated before coverage is lost and it is
     /// dropped. Minimum 8.
-    pub round_log_slots: usize,
+    pub(crate) round_log_slots: usize,
 }
 
 impl Default for HotCacheConfig {
@@ -134,7 +134,7 @@ impl HotCacheConfig {
 /// counters with periodic halving (TinyLFU's aging), shared lock-free
 /// across threads. `record` runs on every probe, `admit` on every fill
 /// that needs to evict.
-pub struct FreqSketch {
+pub(crate) struct FreqSketch {
     rows: Vec<AtomicU8>,
     mask: usize,
     samples: AtomicU64,
@@ -151,7 +151,7 @@ const SKETCH_HASHES: [u64; 4] = [
 impl FreqSketch {
     /// `slots` is rounded up to a power of two; the aging window is 16x
     /// the slot count, as in TinyLFU.
-    pub fn new(slots: usize) -> Self {
+    pub(crate) fn new(slots: usize) -> Self {
         let slots = slots.max(64).next_power_of_two();
         FreqSketch {
             rows: (0..slots).map(|_| AtomicU8::new(0)).collect(),
@@ -175,7 +175,7 @@ impl FreqSketch {
     }
 
     /// Note one access to `h` (sampled frequency signal).
-    pub fn record(&self, h: u64) {
+    pub(crate) fn record(&self, h: u64) {
         for row in 0..SKETCH_HASHES.len() {
             let c = &self.rows[self.idx(h, row)];
             // Saturating increment without wrap under races.
@@ -196,7 +196,7 @@ impl FreqSketch {
     }
 
     /// Estimated access frequency of `h`.
-    pub fn estimate(&self, h: u64) -> u32 {
+    pub(crate) fn estimate(&self, h: u64) -> u32 {
         (0..SKETCH_HASHES.len())
             .map(|row| self.rows[self.idx(h, row)].load(Ordering::Relaxed) as u32)
             .min()
@@ -206,7 +206,7 @@ impl FreqSketch {
     /// Should a fill of `cand` displace `victim`? `victim` is `None` when
     /// the slab still has free space (always admit); otherwise the
     /// candidate must be estimated strictly more frequent.
-    pub fn admit(&self, cand: u64, victim: Option<u64>) -> bool {
+    pub(crate) fn admit(&self, cand: u64, victim: Option<u64>) -> bool {
         match victim {
             None => true,
             Some(v) => self.estimate(cand) > self.estimate(v),
@@ -805,11 +805,6 @@ impl HotCache {
             }
         }
         self.shards[shard].epoch.store(next_even, Ordering::Release);
-    }
-
-    /// The current round epoch of `shard` (tests).
-    pub fn shard_epoch(&self, shard: usize) -> u64 {
-        self.shards[shard].epoch.load(Ordering::Acquire)
     }
 }
 

@@ -74,10 +74,10 @@ impl fmt::Display for ClientError {
 impl std::error::Error for ClientError {}
 
 /// Key/value pairs in key order, as a SCAN returns them.
-pub type KvPairs = Vec<(Vec<u8>, Vec<u8>)>;
+pub(crate) type KvPairs = Vec<(Vec<u8>, Vec<u8>)>;
 
 /// One SCAN page: the returned pairs plus the `more` continuation flag.
-pub type ScanPage = (KvPairs, bool);
+pub(crate) type ScanPage = (KvPairs, bool);
 
 /// Dials one endpoint of a [`KvClient::dial`] endpoint list; `None` when
 /// the endpoint does not answer.
@@ -395,7 +395,7 @@ impl KvClient {
     /// Sever the active connection without consuming the handle, failing
     /// its in-flight waits with `Disconnected`: unblocks a thread wedged in
     /// [`Pending::wait`] on a dead peer (the replication shipper's shutdown).
-    pub fn sever(&self) {
+    pub(crate) fn sever(&self) {
         let _ = self.active.lock().1.inner.socket.shutdown();
     }
 
@@ -425,11 +425,6 @@ pub struct RemoteStore {
 impl RemoteStore {
     pub fn new(client: Arc<KvClient>) -> Self {
         RemoteStore { client }
-    }
-
-    /// The underlying client (for stats or pipelined access).
-    pub fn client(&self) -> &Arc<KvClient> {
-        &self.client
     }
 }
 

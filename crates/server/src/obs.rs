@@ -14,53 +14,53 @@ pub struct ServerObs {
     pub registry: Registry,
 
     // Request mix.
-    pub requests: Arc<Counter>,
+    pub(crate) requests: Arc<Counter>,
     pub gets: Arc<Counter>,
     pub puts: Arc<Counter>,
     pub deletes: Arc<Counter>,
-    pub batches: Arc<Counter>,
-    pub batch_ops: Arc<Counter>,
+    pub(crate) batches: Arc<Counter>,
+    pub(crate) batch_ops: Arc<Counter>,
     pub pings: Arc<Counter>,
-    pub stats_requests: Arc<Counter>,
-    pub errors: Arc<Counter>,
+    pub(crate) stats_requests: Arc<Counter>,
+    pub(crate) errors: Arc<Counter>,
     /// SCAN requests served (each continuation page counts once).
     pub scans: Arc<Counter>,
     /// Items returned across all SCAN pages.
     pub scan_items: Arc<Counter>,
 
     // Per-op wire-to-ack latency (p50/p95/p99 come from the histogram).
-    pub get_ns: Arc<Histogram>,
-    pub put_ns: Arc<Histogram>,
-    pub delete_ns: Arc<Histogram>,
-    pub batch_ns: Arc<Histogram>,
+    pub(crate) get_ns: Arc<Histogram>,
+    pub(crate) put_ns: Arc<Histogram>,
+    pub(crate) delete_ns: Arc<Histogram>,
+    pub(crate) batch_ns: Arc<Histogram>,
     /// SCAN wire-to-ack latency (fan-out + cross-shard merge included).
-    pub scan_ns: Arc<Histogram>,
+    pub(crate) scan_ns: Arc<Histogram>,
 
     // Group commit.
     /// Committed batches (one per shard commit round).
     pub group_commits: Arc<Counter>,
     /// Entries applied per commit round.
-    pub batch_size: Arc<Histogram>,
+    pub(crate) batch_size: Arc<Histogram>,
     /// Submission-queue depth observed at each commit round.
-    pub queue_depth_hist: Arc<Histogram>,
+    pub(crate) queue_depth_hist: Arc<Histogram>,
     /// Current total queued submissions across shards.
-    pub queue_depth: Arc<Gauge>,
+    pub(crate) queue_depth: Arc<Gauge>,
 
     // Hot-key cache tier (see `crate::cache`).
     /// GETs served from a replica slab (no queue, no engine probe).
     pub cache_hits: Arc<Counter>,
     /// GETs that fell through to the engine.
-    pub cache_misses: Arc<Counter>,
+    pub(crate) cache_misses: Arc<Counter>,
     /// Engine values installed into a slab after a miss.
     pub cache_fills: Arc<Counter>,
     /// Fills discarded because a commit round raced the engine read.
-    pub cache_fill_races: Arc<Counter>,
+    pub(crate) cache_fill_races: Arc<Counter>,
     /// Fills rejected by the admission policy (victim was hotter).
-    pub cache_admission_rejects: Arc<Counter>,
+    pub(crate) cache_admission_rejects: Arc<Counter>,
     /// Entries updated/removed by round publication or round-log checks.
     pub cache_invalidations: Arc<Counter>,
     /// Entries displaced by the byte cap.
-    pub cache_evictions: Arc<Counter>,
+    pub(crate) cache_evictions: Arc<Counter>,
     /// Coherence-invariant violations (must stay 0; tests assert on it).
     pub cache_tripwire: Arc<Counter>,
     /// Current cached bytes across every replica slab.
@@ -114,8 +114,8 @@ pub struct ServerObs {
     pub inflight_requests: Arc<Gauge>,
 
     // Wire traffic.
-    pub bytes_in: Arc<Counter>,
-    pub bytes_out: Arc<Counter>,
+    pub(crate) bytes_in: Arc<Counter>,
+    pub(crate) bytes_out: Arc<Counter>,
 }
 
 impl ServerObs {

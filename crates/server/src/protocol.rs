@@ -39,25 +39,25 @@ pub const MAX_FRAME: usize = 16 << 20;
 pub const MAX_KV_BYTES: usize = MAX_FRAME - 64;
 
 /// Request opcodes (the first payload byte after the id).
-pub const OP_GET: u8 = 1;
-pub const OP_PUT: u8 = 2;
-pub const OP_DELETE: u8 = 3;
+pub(crate) const OP_GET: u8 = 1;
+pub(crate) const OP_PUT: u8 = 2;
+pub(crate) const OP_DELETE: u8 = 3;
 pub const OP_BATCH: u8 = 4;
-pub const OP_STATS: u8 = 5;
-pub const OP_PING: u8 = 6;
-pub const OP_SCAN: u8 = 7;
+pub(crate) const OP_STATS: u8 = 5;
+pub(crate) const OP_PING: u8 = 6;
+pub(crate) const OP_SCAN: u8 = 7;
 /// Replication: one committed group-commit round shipped primary→follower.
 pub const OP_REPL_ROUND: u8 = 8;
 /// Replication: snapshot stream header (shard, round seq, DIMM geometry).
-pub const OP_SNAP_BEGIN: u8 = 9;
+pub(crate) const OP_SNAP_BEGIN: u8 = 9;
 /// Replication: one snapshot chunk (shard, offset, bytes).
-pub const OP_SNAP_CHUNK: u8 = 10;
+pub(crate) const OP_SNAP_CHUNK: u8 = 10;
 /// Replication: snapshot stream end (shard, total length, image CRC).
-pub const OP_SNAP_END: u8 = 11;
+pub(crate) const OP_SNAP_END: u8 = 11;
 /// Failover: promote a follower to primary with a new routing epoch.
-pub const OP_PROMOTE: u8 = 12;
+pub(crate) const OP_PROMOTE: u8 = 12;
 /// Handshake: declare this connection's role (replication link / admin).
-pub const OP_HELLO: u8 = 13;
+pub(crate) const OP_HELLO: u8 = 13;
 
 /// HELLO role: register this connection as the follower's one replication
 /// link — REPL_*/SNAP_* frames are accepted only from it.
@@ -67,16 +67,16 @@ pub const HELLO_REPL: u8 = 1;
 pub const HELLO_ADMIN: u8 = 2;
 
 /// Response status codes.
-pub const ST_OK: u8 = 0;
-pub const ST_VALUE: u8 = 1;
-pub const ST_NOT_FOUND: u8 = 2;
+pub(crate) const ST_OK: u8 = 0;
+pub(crate) const ST_VALUE: u8 = 1;
+pub(crate) const ST_NOT_FOUND: u8 = 2;
 pub const ST_BATCH: u8 = 3;
-pub const ST_STATS: u8 = 4;
-pub const ST_ERR: u8 = 5;
+pub(crate) const ST_STATS: u8 = 4;
+pub(crate) const ST_ERR: u8 = 5;
 pub const ST_SCAN: u8 = 6;
 /// The server is over its admission budget and shed this request without
 /// executing any of it. Retryable: nothing was applied.
-pub const ST_BUSY: u8 = 7;
+pub(crate) const ST_BUSY: u8 = 7;
 
 /// A client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,7 +189,7 @@ impl From<ReplWrite> for BatchOp {
 
 impl BatchOp {
     /// The key this op routes on.
-    pub fn key(&self) -> &[u8] {
+    pub(crate) fn key(&self) -> &[u8] {
         match self {
             BatchOp::Put { key, .. } | BatchOp::Delete { key } | BatchOp::Get { key } => key,
         }
@@ -197,7 +197,7 @@ impl BatchOp {
 
     /// Key + value bytes this op would carry into a replicated round,
     /// checked against [`MAX_KV_BYTES`] at admission.
-    pub fn kv_bytes(&self) -> usize {
+    pub(crate) fn kv_bytes(&self) -> usize {
         match self {
             BatchOp::Put { key, value } => key.len() + value.len(),
             BatchOp::Delete { key } | BatchOp::Get { key } => key.len(),

@@ -181,7 +181,7 @@ impl Replicator {
     }
 
     /// The configured ship mode.
-    pub fn mode(&self) -> ReplMode {
+    pub(crate) fn mode(&self) -> ReplMode {
         self.mode
     }
 
@@ -198,7 +198,7 @@ impl Replicator {
 
     /// Called by a shard committer after round `seq` is applied locally.
     /// Never blocks beyond the state lock.
-    pub fn enqueue_round(&self, shard: usize, seq: u64, writes: Vec<ReplWrite>) {
+    pub(crate) fn enqueue_round(&self, shard: usize, seq: u64, writes: Vec<ReplWrite>) {
         let bytes = writes.iter().map(write_wire_bytes).sum::<usize>() as u64 + 16;
         let mut st = self.state.lock();
         if st.stop || st.down {
@@ -226,7 +226,7 @@ impl Replicator {
     /// Sync-mode gate: block until the follower applied round `seq` for
     /// `shard` (returns `true` — a quorum ack), or the link is down /
     /// shutting down (returns `false` — degraded local-only ack).
-    pub fn wait_round_acked(&self, shard: usize, seq: u64) -> bool {
+    pub(crate) fn wait_round_acked(&self, shard: usize, seq: u64) -> bool {
         let mut st = self.state.lock();
         loop {
             if st.stop || st.down {
@@ -256,7 +256,7 @@ impl Replicator {
     }
 
     /// Stop the shipper and release every waiter. Safe to call twice.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         {
             let mut st = self.state.lock();
             st.stop = true;

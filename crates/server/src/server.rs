@@ -83,7 +83,7 @@ pub const MAX_SCAN_PAGE: usize = 4096;
 /// Soft per-page byte budget for SCAN responses, kept well under
 /// [`crate::protocol::MAX_FRAME`] so a page of maximum-size values still
 /// frames (the page is cut early once the budget is crossed).
-pub const MAX_SCAN_BYTES: usize = 4 << 20;
+pub(crate) const MAX_SCAN_BYTES: usize = 4 << 20;
 
 /// Route `key` to one of `n` shards (stable FNV-1a 64 hash — must not
 /// change across restarts, or recovered shards would serve wrong keys).

@@ -19,7 +19,7 @@
 use crate::cache::{key_hash, HotCache};
 use crate::event_loop::EventConn;
 use crate::obs::ServerObs;
-use crate::protocol::{BatchOp, BatchReply, ReplWrite, Response};
+use crate::protocol::{BatchOp, BatchReply, ReplWrite, Response, MAX_FRAME};
 use crate::repl::{ReplMode, Replicator};
 use crate::server::AdmitPermit;
 use cachekv_lsm::KvStore;
@@ -67,7 +67,10 @@ impl BatchAcc {
     }
 
     /// Record one shard part's results (`slots[i]` ↔ `results[i]`) and send
-    /// the response if this was the last outstanding part.
+    /// the response if this was the last outstanding part. The combined
+    /// reply must fit one frame: once a value (or an error text) would
+    /// push its encoding past [`MAX_FRAME`], it becomes an error. Writes
+    /// keep their `Ok`, so no ack is lost or faked.
     fn complete_part(&self, slot_idx: &[usize], results: Vec<BatchReply>) {
         {
             let mut slots = self.slots.lock();
@@ -76,11 +79,30 @@ impl BatchAcc {
             }
         }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let replies: Vec<BatchReply> = self
-                .slots
-                .lock()
-                .iter_mut()
-                .map(|s| s.take().expect("every batch slot filled"))
+            const OVER: &str = "batch reply over MAX_FRAME";
+            let slots = std::mem::take(&mut *self.slots.lock());
+            // A reply is a status byte plus, for a value or an error, a
+            // 4-byte length and its body. Each op took at least 5 request
+            // bytes and the request fit one frame, so the header and 5
+            // bytes per reply always fit; `room` is what is left for bodies.
+            let mut room = MAX_FRAME.saturating_sub(8 + 1 + 4 + 5 * slots.len());
+            let replies: Vec<BatchReply> = slots
+                .into_iter()
+                .map(|s| {
+                    let r = s.expect("every batch slot filled");
+                    let body = match &r {
+                        BatchReply::Value(b) => b.len(),
+                        BatchReply::Err(e) => e.len(),
+                        BatchReply::Ok | BatchReply::NotFound => 0,
+                    };
+                    if body <= room {
+                        room -= body;
+                        return r;
+                    }
+                    let text = if OVER.len() <= room { OVER } else { "" };
+                    room -= text.len();
+                    BatchReply::Err(text.into())
+                })
                 .collect();
             self.obs
                 .batch_ns

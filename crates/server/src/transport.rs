@@ -30,7 +30,7 @@ pub enum Socket {
 }
 
 impl Socket {
-    pub fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+    pub(crate) fn set_nonblocking(&self, on: bool) -> io::Result<()> {
         match self {
             Socket::Tcp(s) => s.set_nonblocking(on),
             Socket::Unix(s) => s.set_nonblocking(on),
@@ -84,8 +84,6 @@ impl Write for &Socket {
 
 /// One accepted or dialed connection.
 pub struct Connection {
-    /// Peer label for logs/metrics ("loopback", "127.0.0.1:43210", ...).
-    pub peer: String,
     pub socket: Socket,
 }
 
@@ -133,7 +131,6 @@ impl LoopbackTransport {
         }
         let (client, server) = UnixStream::pair().ok()?;
         let end = |s| Connection {
-            peer: "loopback".into(),
             socket: Socket::Unix(s),
         };
         let mut q = self.pending.lock().unwrap_or_else(|e| e.into_inner());
@@ -210,12 +207,7 @@ impl TcpTransport {
 /// Nagle batching would serialize them behind delayed ACKs.
 fn tcp_connection(stream: TcpStream) -> Connection {
     stream.set_nodelay(true).ok();
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "tcp".into());
     Connection {
-        peer,
         socket: Socket::Tcp(stream),
     }
 }
@@ -381,7 +373,7 @@ mod tests {
             let Socket::Tcp(raw) = &conn.socket else {
                 panic!("tcp connection carries a TcpStream");
             };
-            assert!(raw.nodelay().unwrap(), "TCP_NODELAY set on {}", conn.peer);
+            assert!(raw.nodelay().unwrap(), "TCP_NODELAY set");
         }
         t.close();
     }

@@ -104,6 +104,80 @@ fn batch_spans_shards_and_sees_own_writes() {
 }
 
 #[test]
+fn oversized_batch_reply_turns_late_values_into_errors() {
+    // Twelve GETs of a 1.5 MB value encode to ≈ 18 MB, past MAX_FRAME
+    // (16 MiB); 2 500 GETs of a 10 kB value overflow too, and the error
+    // texts that replace their late values must not overflow it again.
+    for (value_len, gets) in [(1_500_000, 12), (10_000, 2_500)] {
+        oversized_batch(value_len, gets);
+    }
+}
+
+/// One BATCH of `gets` GETs of a `value_len`-byte value plus one PUT, on a
+/// fresh one-shard server: the reply arrives, its leading values are
+/// intact and the rest are errors, the PUT keeps its ack, and the shard
+/// still commits. The scenario runs on its own thread so that a lost reply
+/// fails the test instead of hanging it.
+fn oversized_batch(value_len: usize, gets: usize) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let scenario = std::thread::spawn(move || {
+        let dev = Arc::new(PmemDevice::new(
+            PmemConfig::paper_scaled().with_latency(LatencyConfig::zero()),
+        ));
+        let hier = Arc::new(Hierarchy::new(dev, CacheConfig::paper()));
+        let store: Arc<dyn KvStore> = Arc::new(CacheKv::create(hier, CacheKvConfig::default()));
+        let transport = LoopbackTransport::new();
+        let server = KvServer::start(vec![store], transport.clone(), ServerConfig::default());
+        let c = client(&transport);
+        let big = vec![0xB7u8; value_len];
+        c.put(b"big", &big).unwrap();
+        let mut ops: Vec<BatchOp> = (0..gets)
+            .map(|_| BatchOp::Get {
+                key: b"big".to_vec(),
+            })
+            .collect();
+        ops.push(BatchOp::Put {
+            key: b"small".to_vec(),
+            value: b"v".to_vec(),
+        });
+        let replies = c.batch(ops);
+        let later = c.put(b"after", b"ok");
+        tx.send((big, replies, later)).unwrap();
+        c.close();
+        server.shutdown();
+    });
+    let (big, replies, later) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .unwrap_or_else(|e| panic!("{gets} GETs of {value_len} B: no BATCH reply in 10 s: {e}"));
+    let replies = replies.expect("BATCH answers");
+    assert_eq!(replies.len(), gets + 1);
+    let values = replies[..gets]
+        .iter()
+        .take_while(|r| matches!(r, BatchReply::Value(v) if *v == big))
+        .count();
+    assert!(values > 0, "the first GETs still carry the value");
+    assert!(
+        values < gets,
+        "{gets} values of {value_len} B cannot fit one frame"
+    );
+    for (i, r) in replies[values..gets].iter().enumerate() {
+        assert!(
+            matches!(r, BatchReply::Err(_)),
+            "GET {} past the frame cap: {r:?}",
+            values + i
+        );
+    }
+    assert!(
+        matches!(replies[gets], BatchReply::Ok),
+        "the PUT keeps its ack"
+    );
+    later.expect("a later PUT to the same shard commits");
+    scenario
+        .join()
+        .expect("scenario thread shuts the server down");
+}
+
+#[test]
 fn pipelined_puts_share_group_commits() {
     let (server, transport) = start_loopback(1, ServerConfig::default());
     let c = client(&transport);

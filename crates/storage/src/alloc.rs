@@ -57,16 +57,6 @@ impl PmemAllocator {
         }
     }
 
-    /// Start of the managed range.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// Size of the managed range.
-    pub fn capacity(&self) -> u64 {
-        self.len
-    }
-
     /// Bytes currently free.
     pub fn free_bytes(&self) -> u64 {
         self.free.lock().iter().map(|r| r.len).sum()

@@ -8,13 +8,13 @@
 //! * [`PmemObject`] — an append-only persistent byte object (the moral
 //!   equivalent of a file on a DAX filesystem), with cached or streaming
 //!   (non-temporal) append paths;
-//! * [`wal`] — a write-ahead log with CRC-protected records and replay,
+//! * `wal` — a write-ahead log with CRC-protected records and replay,
 //!   used by the baselines exactly as LevelDB uses its on-disk log.
 
-pub mod alloc;
+mod alloc;
 pub mod crc;
-pub mod object;
-pub mod wal;
+mod object;
+mod wal;
 
 pub use alloc::{AllocError, PmemAllocator};
 pub use object::PmemObject;

@@ -42,32 +42,22 @@ impl PmemObject {
     }
 
     /// Base address of the region.
-    pub fn base(&self) -> u64 {
+    pub(crate) fn base(&self) -> u64 {
         self.base
     }
 
     /// Capacity of the region.
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         self.capacity
     }
 
     /// Current length.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.len.load(Ordering::Acquire)
     }
 
-    /// Whether nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Remaining capacity.
-    pub fn remaining(&self) -> u64 {
-        self.capacity - self.len()
-    }
-
     /// The memory hierarchy this object lives in.
-    pub fn hierarchy(&self) -> &Arc<Hierarchy> {
+    pub(crate) fn hierarchy(&self) -> &Arc<Hierarchy> {
         &self.hier
     }
 
@@ -84,38 +74,35 @@ impl PmemObject {
     }
 
     /// Append through the cache; returns the object-relative offset.
-    /// Durability relies on eADR or a later [`Self::persist`].
-    pub fn append(&self, data: &[u8]) -> u64 {
+    /// Durability relies on eADR (or on the caller flushing the range).
+    pub(crate) fn append(&self, data: &[u8]) -> u64 {
         let off = self.reserve(data.len() as u64);
         self.hier.store(self.base + off, data);
         off
     }
 
-    /// Append with non-temporal stores (bypasses the cache, fills XPLines in
-    /// order); returns the object-relative offset.
-    pub fn append_nt(&self, data: &[u8]) -> u64 {
-        let off = self.reserve(data.len() as u64);
-        self.hier.nt_store(self.base + off, data);
-        off
-    }
-
     /// Read `buf.len()` bytes at object-relative `off`.
-    pub fn read_at(&self, off: u64, buf: &mut [u8]) {
+    pub(crate) fn read_at(&self, off: u64, buf: &mut [u8]) {
         assert!(off + buf.len() as u64 <= self.len(), "read past object end");
         self.hier.load(self.base + off, buf);
     }
 
     /// Read `len` bytes at `off` into a fresh buffer.
-    pub fn read_vec(&self, off: u64, len: usize) -> Vec<u8> {
+    pub(crate) fn read_vec(&self, off: u64, len: usize) -> Vec<u8> {
         let mut v = vec![0u8; len];
         self.read_at(off, &mut v);
         v
     }
+}
 
-    /// `clwb` + fence the written range (used on the ADR path).
-    pub fn persist(&self) {
-        self.hier.clwb(self.base, self.len() as usize);
-        self.hier.sfence();
+#[cfg(test)]
+impl PmemObject {
+    /// Append with non-temporal stores (bypasses the cache, fills XPLines in
+    /// order); returns the object-relative offset.
+    pub(crate) fn append_nt(&self, data: &[u8]) -> u64 {
+        let off = self.reserve(data.len() as u64);
+        self.hier.nt_store(self.base + off, data);
+        off
     }
 }
 

@@ -61,21 +61,6 @@ impl WalWriter {
         h.sfence();
         off
     }
-
-    /// Bytes appended so far.
-    pub fn len(&self) -> u64 {
-        self.obj.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.obj.is_empty()
-    }
-
-    /// The underlying object.
-    pub fn object(&self) -> &Arc<PmemObject> {
-        &self.obj
-    }
 }
 
 /// Replay iterator over a log region.

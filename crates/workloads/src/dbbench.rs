@@ -19,30 +19,14 @@ pub enum DbBench {
 }
 
 impl DbBench {
-    /// Display name (db_bench's spelling).
-    pub fn name(&self) -> &'static str {
-        match self {
-            DbBench::FillSeq => "fillseq",
-            DbBench::FillRandom => "fillrandom",
-            DbBench::ReadSeq => "readseq",
-            DbBench::ReadRandom => "readrandom",
-            DbBench::ReadZipfian => "readzipfian",
-        }
-    }
-
     /// Whether this mode writes.
-    pub fn is_write(&self) -> bool {
+    pub(crate) fn is_write(&self) -> bool {
         matches!(self, DbBench::FillSeq | DbBench::FillRandom)
-    }
-
-    /// Whether it needs a pre-filled store.
-    pub fn needs_fill(&self) -> bool {
-        !self.is_write()
     }
 
     /// Key-id source for one thread: `n` is the key-space size; writers
     /// partition the space so threads never collide on unwritten keys.
-    pub fn dist(&self, n: u64, thread: u64, threads: u64) -> Box<dyn KeyDist> {
+    pub(crate) fn dist(&self, n: u64, thread: u64, threads: u64) -> Box<dyn KeyDist> {
         match self {
             DbBench::FillSeq | DbBench::ReadSeq => {
                 // Disjoint contiguous stripes per thread.
@@ -52,6 +36,25 @@ impl DbBench {
             DbBench::FillRandom | DbBench::ReadRandom => Box::new(Uniform::new(n, 0x5EED + thread)),
             DbBench::ReadZipfian => Box::new(Zipfian::new(n, 0x5EED + thread)),
         }
+    }
+}
+
+#[cfg(test)]
+impl DbBench {
+    /// Display name (db_bench's spelling).
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            DbBench::FillSeq => "fillseq",
+            DbBench::FillRandom => "fillrandom",
+            DbBench::ReadSeq => "readseq",
+            DbBench::ReadRandom => "readrandom",
+            DbBench::ReadZipfian => "readzipfian",
+        }
+    }
+
+    /// Whether it needs a pre-filled store.
+    pub(crate) fn needs_fill(&self) -> bool {
+        !self.is_write()
     }
 }
 

@@ -12,14 +12,14 @@ pub trait KeyDist: Send {
 }
 
 /// Monotonically increasing ids (db_bench `fillseq` / `readseq`).
-pub struct Sequential {
+pub(crate) struct Sequential {
     next: u64,
     n: u64,
 }
 
 impl Sequential {
     /// Count from `start`, wrapping at `n`.
-    pub fn new(start: u64, n: u64) -> Self {
+    pub(crate) fn new(start: u64, n: u64) -> Self {
         assert!(n > 0);
         Sequential { next: start, n }
     }
@@ -41,7 +41,7 @@ pub struct Uniform {
 
 impl Uniform {
     /// Uniform over `[0, n)`, seeded for reproducibility.
-    pub fn new(n: u64, seed: u64) -> Self {
+    pub(crate) fn new(n: u64, seed: u64) -> Self {
         assert!(n > 0);
         Uniform {
             rng: StdRng::seed_from_u64(seed),
@@ -88,12 +88,12 @@ fn fnv1a64(x: u64) -> u64 {
 
 impl Zipfian {
     /// Zipf(θ=0.99) over `[0, n)`, scrambled.
-    pub fn new(n: u64, seed: u64) -> Self {
+    pub(crate) fn new(n: u64, seed: u64) -> Self {
         Self::with_theta(n, seed, 0.99, true)
     }
 
     /// Full control over skew and scrambling.
-    pub fn with_theta(n: u64, seed: u64, theta: f64, scramble: bool) -> Self {
+    pub(crate) fn with_theta(n: u64, seed: u64, theta: f64, scramble: bool) -> Self {
         assert!(n > 0);
         let zetan = zeta(n, theta);
         let zeta2 = zeta(2, theta);

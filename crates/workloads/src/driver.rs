@@ -13,7 +13,7 @@ pub struct Measurement {
     /// Operations completed.
     pub ops: u64,
     /// Wall-clock seconds.
-    pub secs: f64,
+    pub(crate) secs: f64,
 }
 
 impl Measurement {
@@ -82,7 +82,7 @@ impl LatencyStats {
     }
 
     /// The `q`-quantile latency in nanoseconds (`q` in `[0, 1]`).
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.sorted_ns.is_empty() {
             return 0;
         }
@@ -107,16 +107,6 @@ impl LatencyStats {
         } else {
             self.sorted_ns.iter().sum::<u64>() / self.sorted_ns.len() as u64
         }
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted_ns.len()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.sorted_ns.is_empty()
     }
 }
 
@@ -155,77 +145,6 @@ pub fn run_ops_with_latency(
                         let _ = store.get(&kbuf).expect("bench get");
                     }
                     lat.push(op_start.elapsed().as_nanos() as u64);
-                }
-                lat
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect::<Vec<u64>>()
-    });
-    (
-        Measurement {
-            ops: ops_per_thread * threads as u64,
-            secs: t0.elapsed().as_secs_f64(),
-        },
-        LatencyStats::from_samples(samples),
-    )
-}
-
-/// Like [`run_ycsb`] but additionally records per-*write* latencies
-/// (update/insert ops), so write-tail claims are measurable on mixed
-/// workloads. Read ops are executed but not sampled.
-pub fn run_ycsb_with_latency(
-    store: &Arc<dyn KvStore>,
-    workload: YcsbWorkload,
-    population: u64,
-    ops_per_thread: u64,
-    threads: usize,
-    key: &KeyGen,
-    value: &ValueGen,
-) -> (Measurement, LatencyStats) {
-    let t0 = Instant::now();
-    let samples = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let store = store.clone();
-            let key = key.clone();
-            let value = value.clone();
-            handles.push(s.spawn(move || {
-                let stripe = 1_000_000_000u64 * t as u64;
-                let mut spec = YcsbSpec::new(workload, population, t as u64);
-                let mut kbuf = vec![0u8; key.width()];
-                let mut vbuf = Vec::new();
-                let mut lat = Vec::new();
-                for _ in 0..ops_per_thread {
-                    let (op, mut id) = spec.next_op();
-                    if op == YcsbOp::Insert && workload != YcsbWorkload::Load {
-                        id += stripe;
-                    }
-                    key.key_into(id, &mut kbuf);
-                    match op {
-                        YcsbOp::Read => {
-                            let _ = store.get(&kbuf).expect("ycsb read");
-                        }
-                        YcsbOp::Update | YcsbOp::Insert => {
-                            value.value_into(id, &mut vbuf);
-                            let put_start = Instant::now();
-                            store.put(&kbuf, &vbuf).expect("ycsb write");
-                            lat.push(put_start.elapsed().as_nanos() as u64);
-                        }
-                        YcsbOp::ReadModifyWrite => {
-                            let _ = store.get(&kbuf).expect("ycsb rmw read");
-                            value.value_into(id.wrapping_add(1), &mut vbuf);
-                            let put_start = Instant::now();
-                            store.put(&kbuf, &vbuf).expect("ycsb rmw write");
-                            lat.push(put_start.elapsed().as_nanos() as u64);
-                        }
-                        YcsbOp::Scan => {
-                            let len = spec.next_scan_len();
-                            let _ = store.scan(&kbuf, &[], len as usize).expect("ycsb scan");
-                        }
-                    }
                 }
                 lat
             }));
@@ -314,6 +233,14 @@ pub fn run_ycsb(
     Measurement {
         ops: ops_per_thread * threads as u64,
         secs: t0.elapsed().as_secs_f64(),
+    }
+}
+
+#[cfg(test)]
+impl LatencyStats {
+    /// Number of samples.
+    pub(crate) fn len(&self) -> usize {
+        self.sorted_ns.len()
     }
 }
 

@@ -12,7 +12,7 @@ pub struct KeyGen {
 
 impl KeyGen {
     /// Keys of exactly `width` bytes (>= 8; paper default 16).
-    pub fn new(width: usize) -> Self {
+    pub(crate) fn new(width: usize) -> Self {
         assert!(width >= 8, "key width too small to format");
         KeyGen { width }
     }
@@ -76,11 +76,6 @@ impl ValueGen {
         let mut v = Vec::new();
         self.value_into(id, &mut v);
         v
-    }
-
-    /// Value size in bytes.
-    pub fn size(&self) -> usize {
-        self.size
     }
 }
 

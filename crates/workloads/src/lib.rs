@@ -2,25 +2,23 @@
 //!
 //! Reimplements the two benchmark suites the paper evaluates with:
 //!
-//! * [`dbbench`] — LevelDB's `db_bench` operations (`fillseq`,
+//! * `dbbench` — LevelDB's `db_bench` operations (`fillseq`,
 //!   `fillrandom`, `readseq`, `readrandom`);
-//! * [`ycsb`] — the six YCSB workloads used in Exp#4 (Load, A, B, C, D, F)
-//!   over the request distributions in [`dist`] (Uniform, Zipfian with
+//! * `ycsb` — the six YCSB workloads used in Exp#4 (Load, A, B, C, D, F)
+//!   over the request distributions in `dist` (Uniform, Zipfian with
 //!   α = 0.99, Latest, Sequential);
-//! * [`driver`] — a multi-threaded runner measuring throughput over any
+//! * `driver` — a multi-threaded runner measuring throughput over any
 //!   [`cachekv_lsm::KvStore`].
 
-pub mod dbbench;
-pub mod dist;
-pub mod driver;
-pub mod keys;
-pub mod ycsb;
+mod dbbench;
+mod dist;
+mod driver;
+mod keys;
+mod ycsb;
 
 pub use dbbench::DbBench;
-pub use dist::{KeyDist, Latest, Sequential, Uniform, Zipfian};
+pub use dist::{KeyDist, Latest, Uniform, Zipfian};
 
-pub use driver::{
-    fill, run_ops, run_ops_with_latency, run_ycsb, run_ycsb_with_latency, LatencyStats, Measurement,
-};
+pub use driver::{fill, run_ops, run_ops_with_latency, run_ycsb, LatencyStats, Measurement};
 pub use keys::{KeyGen, ValueGen};
-pub use ycsb::{YcsbOp, YcsbSpec, YcsbWorkload};
+pub use ycsb::YcsbWorkload;

@@ -4,7 +4,7 @@ use crate::dist::{KeyDist, Latest, Uniform, Zipfian};
 
 /// Operation mix entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum YcsbOp {
+pub(crate) enum YcsbOp {
     Read,
     Update,
     Insert,
@@ -16,7 +16,7 @@ pub enum YcsbOp {
 
 /// The request distribution a workload draws keys from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestDist {
+pub(crate) enum RequestDist {
     Uniform,
     Zipfian,
     Latest,
@@ -69,7 +69,7 @@ impl YcsbWorkload {
     }
 
     /// `(read%, update%, insert%, rmw%, scan%)`.
-    pub fn mix(&self) -> (u32, u32, u32, u32, u32) {
+    pub(crate) fn mix(&self) -> (u32, u32, u32, u32, u32) {
         match self {
             YcsbWorkload::Load => (0, 0, 100, 0, 0),
             YcsbWorkload::A => (50, 50, 0, 0, 0),
@@ -82,7 +82,7 @@ impl YcsbWorkload {
     }
 
     /// Request distribution.
-    pub fn dist(&self) -> RequestDist {
+    pub(crate) fn dist(&self) -> RequestDist {
         match self {
             YcsbWorkload::Load => RequestDist::Uniform,
             YcsbWorkload::D => RequestDist::Latest,
@@ -97,7 +97,7 @@ impl YcsbWorkload {
 }
 
 /// A concrete, seeded operation stream for one thread.
-pub struct YcsbSpec {
+pub(crate) struct YcsbSpec {
     workload: YcsbWorkload,
     dist: Box<dyn KeyDist>,
     rng: rand::rngs::StdRng,
@@ -109,7 +109,7 @@ pub struct YcsbSpec {
 impl YcsbSpec {
     /// Build a per-thread stream over an existing `population` of keys.
     /// `thread` seeds both the mix and the key distribution.
-    pub fn new(workload: YcsbWorkload, population: u64, thread: u64) -> Self {
+    pub(crate) fn new(workload: YcsbWorkload, population: u64, thread: u64) -> Self {
         let n = population.max(1);
         let dist: Box<dyn KeyDist> = match workload.dist() {
             RequestDist::Uniform => Box::new(Uniform::new(n, 0xFEED + thread)),
@@ -127,7 +127,7 @@ impl YcsbSpec {
 
     /// Draw the next `(op, key id)` pair. For [`YcsbOp::Scan`] the id is
     /// the scan's start key.
-    pub fn next_op(&mut self) -> (YcsbOp, u64) {
+    pub(crate) fn next_op(&mut self) -> (YcsbOp, u64) {
         use rand::Rng;
         let (r, u, i, f, _s) = self.workload.mix();
         let roll: u32 = self.rng.gen_range(0..100);
@@ -150,7 +150,7 @@ impl YcsbSpec {
 
     /// Scan length for the next [`YcsbOp::Scan`]: uniform in `1..=100`,
     /// YCSB-E's standard `max_scan_length`.
-    pub fn next_scan_len(&mut self) -> u64 {
+    pub(crate) fn next_scan_len(&mut self) -> u64 {
         use rand::Rng;
         self.rng.gen_range(1..101)
     }

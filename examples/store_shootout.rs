@@ -7,7 +7,7 @@
 //! ```
 
 use cachekv_bench::{build, BenchScale, SystemKind};
-use cachekv_workloads::{driver, run_ops, DbBench, KeyGen, ValueGen};
+use cachekv_workloads::{fill, run_ops, DbBench, KeyGen, ValueGen};
 
 fn main() {
     let scale = BenchScale {
@@ -47,7 +47,7 @@ fn main() {
         inst.store.quiesce();
         let amp = inst.hier.pmem_stats().write_amplification();
         // Ensure reads have a full population.
-        driver::fill(&inst.store, scale.keyspace, &key, &value);
+        fill(&inst.store, scale.keyspace, &key, &value);
         let r = run_ops(
             &inst.store,
             DbBench::ReadRandom,

@@ -17,8 +17,7 @@
 //! * **Backpressure**: the flushed-bytes watermark stalls puts explicitly
 //!   (counted) and releases them once dumps catch up; no lost writes.
 
-use cachekv::crashtest::{standard_workload, sweep_store, Engine, SweepOptions};
-use cachekv::{CacheKv, CacheKvConfig};
+use cachekv::{standard_workload, sweep_store, CacheKv, CacheKvConfig, Engine, SweepOptions};
 use cachekv_cache::{CacheConfig, Hierarchy};
 use cachekv_lsm::KvStore;
 use cachekv_pmem::{LatencyConfig, PersistDomain, PmemConfig, PmemDevice};

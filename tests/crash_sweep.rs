@@ -3,8 +3,9 @@
 //! See `cachekv::crashtest` for the driver and `DESIGN.md` ("Crash
 //! testing") for the methodology.
 
-use cachekv::crashtest::{standard_workload, sweep_flushlog, sweep_store, Engine, SweepOptions};
-use cachekv::CacheKvConfig;
+use cachekv::{
+    standard_workload, sweep_flushlog, sweep_store, CacheKvConfig, Engine, SweepOptions,
+};
 use cachekv_lsm::{LsmConfig, StorageConfig};
 use cachekv_pmem::PersistDomain;
 
@@ -36,6 +37,7 @@ fn cachekv_eadr_sweep_covers_flush_and_dump_paths() {
         ops: standard_workload(42, 400),
     });
     assert!(out.points_run >= 50, "breadth: {out:?}");
+    assert!(out.points_run as u64 <= out.total_events, "{out:?}");
     assert!(out.trips > 0, "no injection point actually fired: {out:?}");
     assert!(
         out.contexts.contains_key("cachekv::copy_flush"),
@@ -60,6 +62,7 @@ fn wal_lsm_adr_sweep_commits_at_the_fence() {
         ops: standard_workload(43, 400),
     });
     assert!(out.points_run >= 50, "breadth: {out:?}");
+    assert!(out.points_run as u64 <= out.total_events, "{out:?}");
     assert!(out.trips > 0, "no injection point actually fired: {out:?}");
 }
 
@@ -76,6 +79,7 @@ fn cachekv_torn_sweep_never_fabricates() {
         ops: standard_workload(44, 300),
     });
     assert!(out.points_run >= 20, "breadth: {out:?}");
+    assert!(out.points_run as u64 <= out.total_events, "{out:?}");
 }
 
 #[test]
@@ -85,6 +89,10 @@ fn flushlog_dense_sweep_hits_reset_in_both_domains() {
         assert!(
             out.points_run >= 50,
             "{domain:?}: dense sweep too small: {out:?}"
+        );
+        assert_eq!(
+            out.points_run as u64, out.total_events,
+            "{domain:?}: the dense sweep skipped an event: {out:?}"
         );
         assert!(
             out.contexts
