@@ -1,12 +1,13 @@
 //! Criterion microbenchmarks of the core data structures: the skiplist in
 //! DRAM vs simulated PMem, XPBuffer streaming vs scattered writes, the
-//! sub-MemTable append path, and the PMem B+-tree.
+//! sub-MemTable append path, the PMem B+-tree, and the simulator's own host
+//! cost on a sub-table copy-flush.
 
 use cachekv::SubTable;
 use cachekv_baselines::BpTree;
 use cachekv_cache::{CacheConfig, Hierarchy};
 use cachekv_lsm::{pack_meta, DramSpace, EntryKind, FlushMode, PmemSpace, SkipList};
-use cachekv_pmem::{LatencyConfig, PmemConfig, PmemDevice};
+use cachekv_pmem::{Clock, LatencyConfig, PmemConfig, PmemDevice};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -131,9 +132,44 @@ fn bench_bptree(c: &mut Criterion) {
     g.finish();
 }
 
+/// The copy-flush of one full sub-table the way `flush_one` issues it
+/// (`load_vec` of the CAT-locked sub-table, `nt_store` of the copy,
+/// `sfence`), with the paper's latencies on a virtual clock. The wall time
+/// criterion reports is the simulator's host cost; the modelled device time
+/// per flush is printed beside it, and the two should stay within 2×.
+fn bench_flush_probe(c: &mut Criterion) {
+    const SUBTABLE: usize = 2 << 20;
+    const DEST: u64 = 64 << 20;
+    let clock = Arc::new(Clock::counting());
+    let dev = Arc::new(PmemDevice::with_clock(
+        PmemConfig::paper_scaled(),
+        clock.clone(),
+    ));
+    let h = Hierarchy::new(dev, CacheConfig::paper());
+    h.cat_lock(0, SUBTABLE as u64);
+    for off in (0..SUBTABLE).step_by(100) {
+        let len = 100.min(SUBTABLE - off);
+        h.store(off as u64, &[off as u8; 100][..len]);
+    }
+    let flush = || {
+        let copy = h.load_vec(0, SUBTABLE);
+        h.nt_store(DEST, &copy);
+        h.sfence();
+    };
+    let before = clock.total_ns();
+    flush();
+    println!(
+        "flush_probe/modelled_2mib_subtable       modelled: {} ns per flush",
+        clock.total_ns() - before
+    );
+    let mut g = c.benchmark_group("flush_probe");
+    g.bench_function("copy_flush_2mib_subtable", |b| b.iter(&flush));
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_skiplist, bench_xpbuffer, bench_subtable, bench_bptree
+    targets = bench_skiplist, bench_xpbuffer, bench_subtable, bench_bptree, bench_flush_probe
 }
 criterion_main!(benches);

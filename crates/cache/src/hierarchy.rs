@@ -3,7 +3,7 @@
 use crate::config::CacheConfig;
 use crate::llc::Llc;
 use crate::stats::CacheStats;
-use cachekv_pmem::{PersistDomain, PmemDevice, PmemStats};
+use cachekv_pmem::{Clock, PersistDomain, PmemDevice, PmemStats};
 use std::sync::{Arc, Weak};
 
 /// Simulated LLC + PMem device, presented as one persistent address space.
@@ -11,6 +11,10 @@ use std::sync::{Arc, Weak};
 /// All persistent loads and stores go through this type; DRAM-resident
 /// structures (CacheKV's sub-skiplists, global metadata) are ordinary Rust
 /// memory and never touch it — exactly the split the paper argues for.
+///
+/// Every operation runs in a [`Clock::spin_scope`]: under
+/// [`ClockMode::Spin`](cachekv_pmem::ClockMode::Spin) its charges are spun
+/// off once, as it returns and after every simulator lock is released.
 pub struct Hierarchy {
     llc: Arc<Llc>,
 }
@@ -47,12 +51,14 @@ impl Hierarchy {
     /// Cached write (write-back, write-allocate).
     #[inline]
     pub fn store(&self, addr: u64, data: &[u8]) {
+        let _op = Clock::spin_scope();
         self.llc.store(addr, data);
     }
 
     /// Cached read.
     #[inline]
     pub fn load(&self, addr: u64, buf: &mut [u8]) {
+        let _op = Clock::spin_scope();
         self.llc.load(addr, buf);
     }
 
@@ -80,24 +86,28 @@ impl Hierarchy {
     /// `clflush` the lines covering `[addr, addr+len)`.
     #[inline]
     pub fn clflush(&self, addr: u64, len: usize) {
+        let _op = Clock::spin_scope();
         self.llc.clflush(addr, len);
     }
 
     /// `clwb` the lines covering `[addr, addr+len)`.
     #[inline]
     pub fn clwb(&self, addr: u64, len: usize) {
+        let _op = Clock::spin_scope();
         self.llc.clwb(addr, len);
     }
 
     /// Non-temporal (cache-bypassing, streaming) store.
     #[inline]
     pub fn nt_store(&self, addr: u64, data: &[u8]) {
+        let _op = Clock::spin_scope();
         self.llc.nt_store(addr, data);
     }
 
     /// Persistence barrier.
     #[inline]
     pub fn sfence(&self) {
+        let _op = Clock::spin_scope();
         self.llc.sfence();
     }
 
@@ -105,6 +115,7 @@ impl Hierarchy {
     /// previous value; the swap happened iff it equals `expected`.
     #[inline]
     pub fn cas_u64(&self, addr: u64, expected: u64, new: u64) -> u64 {
+        let _op = Clock::spin_scope();
         self.llc.cas_u64(addr, expected, new)
     }
 
@@ -115,6 +126,7 @@ impl Hierarchy {
 
     /// Release a CAT-locked region, writing dirty lines back.
     pub fn cat_unlock(&self, start: u64, len: u64) {
+        let _op = Clock::spin_scope();
         self.llc.unlock_region(start, len);
     }
 
@@ -128,6 +140,7 @@ impl Hierarchy {
     /// ADR cache contents are lost. Either way the cache ends up empty and
     /// CAT regions must be re-established, matching Section III-E.
     pub fn power_fail(&self) {
+        let _op = Clock::spin_scope();
         match self.llc.device().domain() {
             PersistDomain::Eadr => self.llc.writeback_all(),
             PersistDomain::Adr => {}
@@ -148,6 +161,7 @@ impl Hierarchy {
     /// Callers must ensure no store races the capture (quiesce writers
     /// first) or the image may split one thread's store sequence.
     pub fn capture_media(&self) -> Vec<Vec<u8>> {
+        let _op = Clock::spin_scope();
         self.llc.writeback_all();
         self.llc.device().clone_media()
     }

@@ -5,42 +5,269 @@
 //! eADR — on power failure. Locked regions model Intel CAT pseudo-locking: a
 //! side partition that replacement never touches, used by CacheKV to pin the
 //! sub-MemTable pool.
+//!
+//! Host-side layout (none of it is modelled; the golden tape in
+//! `tests/golden_tape.rs` pins that it changes no modelled number):
+//! * Each shard keeps its sets as parallel arrays indexed by
+//!   `set * ways + way` — tags, LRU ticks and dirty flags packed, line data
+//!   apart — so a lookup scans one run of tags rather than whole lines.
+//! * A CAT-locked region keeps its lines in a slab indexed by line offset
+//!   from the region start, in stripes of 64 lines that share a lock and
+//!   one present and one dirty bitset.
+//! * A range operation resolves its CAT region once per run of lines and
+//!   keeps a shard or stripe lock across consecutive lines that share it.
+//!
+//! **In-flight lines.** A dirty line leaving the cache (replacement,
+//! `clflush`/`clwb`, a non-temporal store over it, CAT unlock) is entered in
+//! its shard's in-flight table under the lock that removed it, and cleared
+//! once `write_cacheline` has returned. Fills read that table before the
+//! device, and [`Llc::writeback_all`] puts in-flight lines into its cut, so
+//! no load and no crash image sees the device's older bytes while the line
+//! is between the cache and the device.
 
 use crate::config::CacheConfig;
 use crate::stats::CacheStatsCell;
 use cachekv_pmem::{PmemDevice, CACHELINE};
-use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use parking_lot::{Mutex, MutexGuard, RwLock};
+use std::ops::Range;
 use std::sync::Arc;
 
-const LINE_MASK: u64 = !(CACHELINE as u64 - 1);
+const LINE: u64 = CACHELINE as u64;
+const LINE_MASK: u64 = !(LINE - 1);
+/// Tag bit marking an occupied way. Line addresses are 64 B aligned, so the
+/// bit is free, and a zeroed tag array is an empty set.
+const VALID: u64 = 1;
+/// Lines per slab stripe: one `u64` each of present and dirty bits.
+const STRIPE_LINES: usize = 64;
 
-struct Line {
-    tag: u64,
-    data: [u8; CACHELINE],
-    dirty: bool,
-    tick: u64,
+type LineData = [u8; CACHELINE];
+
+/// A line pushed out of a full set.
+struct Victim {
+    line: u64,
+    /// The line's data if it was dirty.
+    dirty: Option<LineData>,
 }
 
-struct LockedLine {
-    data: [u8; CACHELINE],
-    dirty: bool,
-}
-
+/// One lock's share of the sets.
 struct Shard {
-    /// Sets owned by this shard, indexed by `set_index / num_shards`.
-    sets: Vec<Vec<Line>>,
-    /// CAT-locked lines mapped to this shard.
-    locked: HashMap<u64, LockedLine>,
+    ways: usize,
+    /// `line | VALID` per way; 0 marks an empty way.
+    tags: Vec<u64>,
+    /// LRU tick per way. Every access draws a fresh shard tick, so ticks are
+    /// unique within a shard and the victim (the minimum) is too.
+    ticks: Vec<u64>,
+    dirty: Vec<bool>,
+    data: Vec<LineData>,
     tick: u64,
+    /// Dirty lines of this shard (either partition) on their way to the
+    /// device, oldest first, with the sequence number that names each.
+    inflight: Vec<(u64, u64, LineData)>,
+    next_seq: u64,
+}
+
+impl Shard {
+    fn new(sets: usize, ways: usize) -> Self {
+        let n = sets * ways;
+        Shard {
+            ways,
+            tags: vec![0; n],
+            ticks: vec![0; n],
+            dirty: vec![false; n],
+            data: vec![[0; CACHELINE]; n],
+            tick: 0,
+            inflight: Vec::new(),
+            next_seq: 0,
+        }
+    }
+
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    /// The way (as a flat slot index) holding `line` in `set`.
+    #[inline]
+    fn find(&self, set: usize, line: u64) -> Option<usize> {
+        let base = set * self.ways;
+        self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == line | VALID)
+            .map(|w| base + w)
+    }
+
+    /// Put `line` into `set`, replacing the LRU way if the set is full.
+    fn install(
+        &mut self,
+        set: usize,
+        line: u64,
+        data: &LineData,
+        dirty: bool,
+        tick: u64,
+    ) -> Option<Victim> {
+        let base = set * self.ways;
+        let (slot, victim) = match self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == 0)
+        {
+            Some(w) => (base + w, None),
+            None => {
+                let slot = (base..base + self.ways)
+                    .min_by_key(|&s| self.ticks[s])
+                    .expect("a set has ways");
+                let victim = Victim {
+                    line: self.tags[slot] & !VALID,
+                    dirty: self.dirty[slot].then_some(self.data[slot]),
+                };
+                (slot, Some(victim))
+            }
+        };
+        self.tags[slot] = line | VALID;
+        self.ticks[slot] = tick;
+        self.dirty[slot] = dirty;
+        self.data[slot] = *data;
+        victim
+    }
+
+    fn clear(&mut self, slot: usize) {
+        self.tags[slot] = 0;
+        self.dirty[slot] = false;
+    }
+
+    /// The newest in-flight copy of `line`.
+    fn inflight(&self, line: u64) -> Option<&LineData> {
+        self.inflight
+            .iter()
+            .rev()
+            .find(|e| e.0 == line)
+            .map(|e| &e.2)
+    }
+
+    /// Enter a dirty line that is leaving the cache. Returns its sequence
+    /// number and whether an older copy of the line is still in flight.
+    fn depart(&mut self, line: u64, data: LineData) -> (u64, bool) {
+        let older = self.inflight.iter().any(|e| e.0 == line);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.inflight.push((line, seq, data));
+        (seq, older)
+    }
+}
+
+/// A CAT-locked region's lines: a slab indexed by line offset from `start`.
+struct Region {
+    start: u64,
+    end: u64,
+    stripes: Box<[Mutex<Stripe>]>,
+}
+
+#[derive(Default)]
+struct Stripe {
+    present: u64,
+    dirty: u64,
+    /// Set when the region is unlocked or invalidated. An operation that
+    /// resolved the region before that goes through the sets instead.
+    retired: bool,
+    /// Allocated at the stripe's first line.
+    data: Option<Box<[LineData; STRIPE_LINES]>>,
+}
+
+impl Region {
+    /// Stripe index and bit of `line`.
+    #[inline]
+    fn locate(&self, line: u64) -> (usize, u32) {
+        let i = ((line - self.start) / LINE) as usize;
+        (i / STRIPE_LINES, (i % STRIPE_LINES) as u32)
+    }
+
+    fn line_at(&self, stripe: usize, bit: u32) -> u64 {
+        self.start + (stripe * STRIPE_LINES + bit as usize) as u64 * LINE
+    }
+}
+
+impl Stripe {
+    #[inline]
+    fn get(&self, bit: u32) -> Option<&LineData> {
+        match &self.data {
+            Some(d) if self.present >> bit & 1 == 1 => Some(&d[bit as usize]),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn get_mut(&mut self, bit: u32) -> Option<&mut LineData> {
+        match &mut self.data {
+            Some(d) if self.present >> bit & 1 == 1 => Some(&mut d[bit as usize]),
+            _ => None,
+        }
+    }
+
+    fn put(&mut self, bit: u32, data: LineData, dirty: bool) {
+        self.data
+            .get_or_insert_with(|| Box::new([[0; CACHELINE]; STRIPE_LINES]))[bit as usize] = data;
+        self.present |= 1 << bit;
+        self.dirty = self.dirty & !(1 << bit) | u64::from(dirty) << bit;
+    }
+
+    fn is_dirty(&self, bit: u32) -> bool {
+        self.dirty >> bit & 1 == 1
+    }
+}
+
+/// Lock `locks[i]`, reusing the guard in `held` when it already holds that
+/// lock: a range operation's consecutive lines often share one. The old
+/// guard is released first, so no thread ever holds two locks of one kind
+/// (only [`Llc::writeback_all`] does, and it takes them in index order).
+fn relock<'a, 'h, T>(
+    locks: &'a [Mutex<T>],
+    held: &'h mut Option<(usize, MutexGuard<'a, T>)>,
+    i: usize,
+) -> &'h mut T {
+    if held.as_ref().map(|h| h.0) != Some(i) {
+        *held = None;
+        *held = Some((i, locks[i].lock()));
+    }
+    &mut held.as_mut().expect("just locked").1
+}
+
+/// Bytes `lo..hi` of `line` that `[addr, end)` covers, and where they sit
+/// in the caller's buffer.
+#[inline]
+fn span(addr: u64, end: u64, line: u64) -> (usize, usize, Range<usize>) {
+    let lo = addr.max(line) - line;
+    let hi = end.min(line + LINE) - line;
+    let at = (line + lo - addr) as usize;
+    (lo as usize, hi as usize, at..at + (hi - lo) as usize)
+}
+
+#[cfg(test)]
+type GapHook = Box<dyn FnMut(u64)>;
+
+#[cfg(test)]
+thread_local! {
+    /// Runs on this thread between a dirty line leaving the cache and its
+    /// `write_cacheline`, so a test can act inside that window.
+    static WRITEBACK_GAP: std::cell::RefCell<Option<GapHook>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+#[inline]
+fn writeback_gap(_line: u64) {
+    #[cfg(test)]
+    WRITEBACK_GAP.with(|h| {
+        if let Some(f) = h.borrow_mut().as_mut() {
+            f(_line)
+        }
+    });
 }
 
 /// The LLC simulator. Shared behind `Arc` by every thread of a store.
 pub(crate) struct Llc {
-    cfg: CacheConfig,
     dev: Arc<PmemDevice>,
+    num_sets: u64,
     shards: Vec<Mutex<Shard>>,
-    locked_ranges: RwLock<Vec<(u64, u64)>>,
+    /// CAT-locked regions, pairwise disjoint.
+    regions: RwLock<Vec<Arc<Region>>>,
     pub(crate) stats: CacheStatsCell,
 }
 
@@ -48,22 +275,17 @@ impl Llc {
     pub(crate) fn new(dev: Arc<PmemDevice>, cfg: CacheConfig) -> Self {
         let num_sets = cfg.num_sets();
         let shards = cfg.shards.min(num_sets);
-        let mut v = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let sets_here = num_sets / shards + usize::from(s < num_sets % shards);
-            v.push(Mutex::new(Shard {
-                sets: (0..sets_here)
-                    .map(|_| Vec::with_capacity(cfg.ways))
-                    .collect(),
-                locked: HashMap::new(),
-                tick: 0,
-            }));
-        }
+        let shards = (0..shards)
+            .map(|s| {
+                let sets_here = num_sets / shards + usize::from(s < num_sets % shards);
+                Mutex::new(Shard::new(sets_here, cfg.ways))
+            })
+            .collect();
         Llc {
-            cfg,
             dev,
-            shards: v,
-            locked_ranges: RwLock::new(Vec::new()),
+            num_sets: num_sets as u64,
+            shards,
+            regions: RwLock::new(Vec::new()),
             stats: CacheStatsCell::default(),
         }
     }
@@ -79,309 +301,339 @@ impl Llc {
         // program's write order — the mechanism that turns unflushed
         // sequential writes into scattered 64 B arrivals at the PMem
         // (Ob1/R1). A multiplicative hash models that scatter.
-        let h = (line_addr / CACHELINE as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
-        let set = (h % self.cfg.num_sets() as u64) as usize;
+        let h = (line_addr / LINE).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
+        let set = (h % self.num_sets) as usize;
         let shard = set % self.shards.len();
         (shard, set / self.shards.len())
     }
 
-    #[inline]
-    fn is_locked(&self, line_addr: u64) -> bool {
-        let ranges = self.locked_ranges.read();
-        ranges.iter().any(|&(s, e)| line_addr >= s && line_addr < e)
-    }
-
-    #[inline]
-    fn charge_hit(&self) {
+    /// Charge `n` cache hits in one go (an operation's hits are summed).
+    fn charge_hits(&self, n: u64) {
         self.dev
             .clock()
-            .charge(self.dev.config().latency.cache_hit_ns);
+            .charge(n * self.dev.config().latency.cache_hit_ns);
+    }
+
+    /// Call `f(region, first, stop)` for consecutive runs of the lines in
+    /// `[first, end)`, each wholly inside one CAT region or outside all of
+    /// them. The region list is read once per run.
+    fn for_each_run(&self, first: u64, end: u64, mut f: impl FnMut(Option<&Region>, u64, u64)) {
+        let mut cur = first;
+        while cur < end {
+            let (region, stop) = {
+                let regions = self.regions.read();
+                match regions.iter().find(|r| cur >= r.start && cur < r.end) {
+                    Some(r) => (Some(r.clone()), r.end.min(end)),
+                    None => {
+                        let next = regions.iter().map(|r| r.start).filter(|&s| s > cur).min();
+                        (None, next.unwrap_or(end).min(end))
+                    }
+                }
+            };
+            f(region.as_deref(), cur, stop);
+            cur = stop;
+        }
+    }
+
+    /// Contents for a line entering the cache: an in-flight copy is newer
+    /// than the device. The caller holds the lock of the line's shard, so no
+    /// departure of the line can fall between the check and the read.
+    fn fill(&self, shard: &Shard, line: u64) -> LineData {
+        if let Some(d) = shard.inflight(line) {
+            return *d;
+        }
+        let mut data = [0; CACHELINE];
+        self.dev.read(line, &mut data);
+        data
+    }
+
+    /// [`Llc::fill`] for a CAT-locked line. The caller holds the line's
+    /// stripe lock, which every departure of the line also takes; its
+    /// in-flight copies sit in the shard its address maps to.
+    fn fill_locked(&self, line: u64) -> LineData {
+        self.fill(&self.shards[self.place(line).0].lock(), line)
+    }
+
+    /// Hand a departed dirty line to the device, then clear its in-flight
+    /// entry. Called with no simulator lock held. Copies of one line reach
+    /// the device in departure order: a later one waits for the earlier.
+    fn write_back(&self, si: usize, line: u64, (seq, older): (u64, bool), data: &LineData) {
+        if older {
+            while self.shards[si]
+                .lock()
+                .inflight
+                .iter()
+                .find(|e| e.0 == line)
+                .is_some_and(|e| e.1 != seq)
+            {
+                std::thread::yield_now();
+            }
+        }
+        writeback_gap(line);
+        self.dev.write_cacheline(line, data);
+        let mut shard = self.shards[si].lock();
+        if let Some(pos) = shard.inflight.iter().position(|e| e.1 == seq) {
+            shard.inflight.remove(pos);
+        }
+    }
+
+    /// Count a replacement, and write a dirty victim back. The victim's
+    /// shard is the one `held` locks; the lock is released for the write.
+    fn evict(&self, held: &mut Option<(usize, MutexGuard<'_, Shard>)>, victim: Option<Victim>) {
+        let Some(v) = victim else { return };
+        CacheStatsCell::bump(&self.stats.evictions);
+        if let Some(data) = v.dirty {
+            CacheStatsCell::bump(&self.stats.dirty_evictions);
+            let (si, shard) = held.as_mut().expect("victim's shard is held");
+            let si = *si;
+            let ticket = shard.depart(v.line, data);
+            *held = None;
+            self.write_back(si, v.line, ticket, &data);
+        }
     }
 
     /// Reserve `[start, start+len)` (64 B aligned) in the locked partition.
     /// Existing cached lines in the range migrate into it.
     pub(crate) fn lock_region(&self, start: u64, len: u64) {
-        assert_eq!(
-            start % CACHELINE as u64,
-            0,
-            "lock region must be line aligned"
-        );
-        assert_eq!(
-            len % CACHELINE as u64,
-            0,
-            "lock region length must be line aligned"
-        );
-        // Migrate any normally-cached lines in range into the locked table so
-        // a single line never exists in both partitions.
-        let mut addr = start;
-        while addr < start + len {
-            let (si, set) = self.place(addr);
-            let mut shard = self.shards[si].lock();
-            if let Some(pos) = shard.sets[set].iter().position(|l| l.tag == addr) {
-                let line = shard.sets[set].swap_remove(pos);
-                shard.locked.insert(
-                    addr,
-                    LockedLine {
-                        data: line.data,
-                        dirty: line.dirty,
-                    },
+        assert_eq!(start % LINE, 0, "lock region must be line aligned");
+        assert_eq!(len % LINE, 0, "lock region length must be line aligned");
+        let end = start + len;
+        let lines = (len / LINE) as usize;
+        let mut stripes: Vec<Stripe> = (0..lines.div_ceil(STRIPE_LINES))
+            .map(|_| Stripe::default())
+            .collect();
+        // Migrate any normally-cached lines in range into the slab so a
+        // single line never exists in both partitions.
+        let mut held = None;
+        for line in (start..end).step_by(CACHELINE) {
+            let (si, set) = self.place(line);
+            let shard = relock(&self.shards, &mut held, si);
+            if let Some(slot) = shard.find(set, line) {
+                let i = ((line - start) / LINE) as usize;
+                stripes[i / STRIPE_LINES].put(
+                    (i % STRIPE_LINES) as u32,
+                    shard.data[slot],
+                    shard.dirty[slot],
                 );
+                shard.clear(slot);
             }
-            addr += CACHELINE as u64;
         }
-        self.locked_ranges.write().push((start, start + len));
+        drop(held);
+        let region = Arc::new(Region {
+            start,
+            end,
+            stripes: stripes.into_iter().map(Mutex::new).collect(),
+        });
+        let mut regions = self.regions.write();
+        assert!(
+            regions.iter().all(|r| end <= r.start || start >= r.end),
+            "CAT regions must not overlap: [{start:#x}, {end:#x})"
+        );
+        regions.push(region);
     }
 
     /// Release a locked region: dirty lines are written back to the device
     /// and the partition space is returned.
     pub(crate) fn unlock_region(&self, start: u64, len: u64) {
-        {
-            let mut ranges = self.locked_ranges.write();
-            if let Some(pos) = ranges.iter().position(|&r| r == (start, start + len)) {
-                ranges.swap_remove(pos);
+        let region = {
+            let mut regions = self.regions.write();
+            match regions
+                .iter()
+                .position(|r| (r.start, r.end) == (start, start + len))
+            {
+                Some(pos) => regions.swap_remove(pos),
+                None => return,
             }
-        }
-        let mut addr = start;
-        while addr < start + len {
-            let (si, _) = self.place(addr);
-            let mut shard = self.shards[si].lock();
-            let dirty = shard.locked.remove(&addr).filter(|l| l.dirty);
-            drop(shard);
-            if let Some(line) = dirty {
-                self.dev.write_cacheline(addr, &line.data);
+        };
+        let mut pending = Vec::new();
+        for (i, stripe) in region.stripes.iter().enumerate() {
+            let mut st = stripe.lock();
+            let mut dirty = st.dirty;
+            while dirty != 0 {
+                let bit = dirty.trailing_zeros();
+                dirty &= dirty - 1;
+                let line = region.line_at(i, bit);
+                let data = *st.get(bit).expect("dirty lines are present");
+                let si = self.place(line).0;
+                let ticket = self.shards[si].lock().depart(line, data);
+                pending.push((si, line, ticket, data));
             }
-            addr += CACHELINE as u64;
+            *st = Stripe {
+                retired: true,
+                ..Stripe::default()
+            };
+            drop(st);
+            for (si, line, ticket, data) in pending.drain(..) {
+                self.write_back(si, line, ticket, &data);
+            }
         }
     }
 
     /// Currently locked ranges (for tests and recovery).
     pub(crate) fn locked_ranges(&self) -> Vec<(u64, u64)> {
-        self.locked_ranges.read().clone()
+        self.regions
+            .read()
+            .iter()
+            .map(|r| (r.start, r.end))
+            .collect()
     }
 
     /// Store `data` at `addr` through the cache (write-back, write-allocate).
     pub(crate) fn store(&self, addr: u64, data: &[u8]) {
-        self.for_each_line(addr, data.len(), |line, lo, hi, rng| {
-            self.store_line(line, lo, hi, &data[rng.clone()]);
+        if data.is_empty() {
+            return;
+        }
+        let end = addr + data.len() as u64;
+        let mut hits = 0;
+        self.for_each_run(addr & LINE_MASK, end, |region, first, stop| match region {
+            Some(r) => self.store_locked(r, addr, end, first..stop, data, &mut hits),
+            None => self.store_sets(addr, end, first..stop, data, &mut hits),
         });
+        self.charge_hits(hits);
     }
 
     /// Load `buf.len()` bytes at `addr` through the cache.
     pub(crate) fn load(&self, addr: u64, buf: &mut [u8]) {
-        let mut scratch: Vec<(std::ops::Range<usize>, u64, usize, usize)> = Vec::new();
-        self.for_each_line(addr, buf.len(), |line, lo, hi, rng| {
-            scratch.push((rng, line, lo, hi));
+        if buf.is_empty() {
+            return;
+        }
+        let end = addr + buf.len() as u64;
+        let mut hits = 0;
+        self.for_each_run(addr & LINE_MASK, end, |region, first, stop| match region {
+            Some(r) => self.load_locked(r, addr, end, first..stop, buf, &mut hits),
+            None => self.load_sets(addr, end, first..stop, buf, &mut hits),
         });
-        for (rng, line, lo, hi) in scratch {
-            self.load_line(line, lo, hi, &mut buf[rng]);
-        }
+        self.charge_hits(hits);
     }
 
-    /// Apply `f(line_addr, lo, hi, dst_range)` to every cacheline overlapped
-    /// by `[addr, addr+len)`.
-    fn for_each_line(
-        &self,
-        addr: u64,
-        len: usize,
-        mut f: impl FnMut(u64, usize, usize, std::ops::Range<usize>),
-    ) {
-        let mut cur = addr;
-        let end = addr + len as u64;
-        while cur < end {
-            let line = cur & LINE_MASK;
-            let lo = (cur - line) as usize;
-            let hi = CACHELINE.min((end - line) as usize);
-            let dst_lo = (cur - addr) as usize;
-            let dst_hi = dst_lo + (hi - lo);
-            f(line, lo, hi, dst_lo..dst_hi);
-            cur = line + CACHELINE as u64;
-        }
-    }
-
-    fn store_line(&self, line_addr: u64, lo: usize, hi: usize, src: &[u8]) {
-        let partial = lo != 0 || hi != CACHELINE;
-        if self.is_locked(line_addr) {
-            let (si, _) = self.place(line_addr);
-            let mut shard = self.shards[si].lock();
-            CacheStatsCell::bump(&self.stats.locked_hits);
-            match shard.locked.get_mut(&line_addr) {
-                Some(l) => {
-                    l.data[lo..hi].copy_from_slice(src);
-                    l.dirty = true;
+    /// Store the bytes of `[addr, end)` that fall in `lines` (normal
+    /// partition). Every line counts one charged hit, miss or not.
+    fn store_sets(&self, addr: u64, end: u64, lines: Range<u64>, src: &[u8], hits: &mut u64) {
+        let mut held = None;
+        for line in lines.step_by(CACHELINE) {
+            let (lo, hi, from) = span(addr, end, line);
+            let (si, set) = self.place(line);
+            *hits += 1;
+            let victim = {
+                let shard = relock(&self.shards, &mut held, si);
+                let tick = shard.next_tick();
+                if let Some(slot) = shard.find(set, line) {
+                    shard.data[slot][lo..hi].copy_from_slice(&src[from]);
+                    shard.dirty[slot] = true;
+                    shard.ticks[slot] = tick;
                     CacheStatsCell::bump(&self.stats.store_hits);
-                    drop(shard);
-                    self.charge_hit();
+                    continue;
                 }
-                None => {
-                    let mut data = [0u8; CACHELINE];
-                    if partial {
-                        drop(shard);
-                        self.dev.read(line_addr, &mut data);
-                        shard = self.shards[si].lock();
-                    }
-                    // Re-check: another thread may have populated the line
-                    // while the lock was released for the fill; merging into
-                    // its (newer) copy must not clobber it with stale data.
-                    if let Some(l) = shard.locked.get_mut(&line_addr) {
-                        l.data[lo..hi].copy_from_slice(src);
-                        l.dirty = true;
-                    } else {
-                        data[lo..hi].copy_from_slice(src);
-                        shard
-                            .locked
-                            .insert(line_addr, LockedLine { data, dirty: true });
-                    }
-                    CacheStatsCell::bump(&self.stats.store_misses);
-                    drop(shard);
-                    self.charge_hit();
-                }
-            }
-            return;
+                CacheStatsCell::bump(&self.stats.store_misses);
+                // Write-allocate: a partial store fetches the rest of the
+                // line (RFO) first. Full-line stores skip the fetch,
+                // modelling store-buffer merging of streaming writes.
+                let mut data = if hi - lo < CACHELINE {
+                    self.fill(shard, line)
+                } else {
+                    [0; CACHELINE]
+                };
+                data[lo..hi].copy_from_slice(&src[from]);
+                shard.install(set, line, &data, true, tick)
+            };
+            self.evict(&mut held, victim);
         }
-
-        let (si, set) = self.place(line_addr);
-        let mut shard = self.shards[si].lock();
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some(l) = shard.sets[set].iter_mut().find(|l| l.tag == line_addr) {
-            l.data[lo..hi].copy_from_slice(src);
-            l.dirty = true;
-            l.tick = tick;
-            CacheStatsCell::bump(&self.stats.store_hits);
-            drop(shard);
-            self.charge_hit();
-            return;
-        }
-        CacheStatsCell::bump(&self.stats.store_misses);
-        let mut data = [0u8; CACHELINE];
-        if partial {
-            // Write-allocate: fetch the rest of the line (RFO) before the
-            // partial update. Full-line stores skip the fetch, modelling
-            // store-buffer merging of streaming writes.
-            drop(shard);
-            self.dev.read(line_addr, &mut data);
-            shard = self.shards[si].lock();
-            // Re-check: another thread may have allocated the line while
-            // the lock was released; merge into its copy rather than
-            // inserting a duplicate built from a possibly stale fill.
-            if let Some(l) = shard.sets[set].iter_mut().find(|l| l.tag == line_addr) {
-                l.data[lo..hi].copy_from_slice(src);
-                l.dirty = true;
-                l.tick = tick;
-                drop(shard);
-                self.charge_hit();
-                return;
-            }
-        }
-        data[lo..hi].copy_from_slice(src);
-        let victim = Self::insert_line(
-            &mut shard,
-            set,
-            self.cfg.ways,
-            Line {
-                tag: line_addr,
-                data,
-                dirty: true,
-                tick,
-            },
-        );
-        drop(shard);
-        self.charge_hit();
-        self.evict(victim);
     }
 
-    fn load_line(&self, line_addr: u64, lo: usize, hi: usize, dst: &mut [u8]) {
-        if self.is_locked(line_addr) {
-            let (si, _) = self.place(line_addr);
-            let shard = self.shards[si].lock();
+    fn store_locked(
+        &self,
+        r: &Region,
+        addr: u64,
+        end: u64,
+        lines: Range<u64>,
+        src: &[u8],
+        hits: &mut u64,
+    ) {
+        let mut held = None;
+        for line in lines.step_by(CACHELINE) {
+            let (lo, hi, from) = span(addr, end, line);
+            let (i, bit) = r.locate(line);
+            let st = relock(&r.stripes, &mut held, i);
+            if st.retired {
+                held = None;
+                self.store_sets(addr, end, line..line + LINE, src, hits);
+                continue;
+            }
             CacheStatsCell::bump(&self.stats.locked_hits);
-            if let Some(l) = shard.locked.get(&line_addr) {
-                dst.copy_from_slice(&l.data[lo..hi]);
-                CacheStatsCell::bump(&self.stats.load_hits);
-                drop(shard);
-                self.charge_hit();
+            *hits += 1;
+            if let Some(d) = st.get_mut(bit) {
+                d[lo..hi].copy_from_slice(&src[from]);
+                st.dirty |= 1 << bit;
+                CacheStatsCell::bump(&self.stats.store_hits);
+                continue;
+            }
+            let mut data = if hi - lo < CACHELINE {
+                self.fill_locked(line)
             } else {
-                drop(shard);
-                let mut data = [0u8; CACHELINE];
-                self.dev.read(line_addr, &mut data);
-                let mut shard = self.shards[si].lock();
-                // Re-check: a store may have landed while the lock was
-                // released — its copy is newer than the device fill and
-                // must not be replaced with a stale clean line.
-                if let Some(l) = shard.locked.get(&line_addr) {
-                    dst.copy_from_slice(&l.data[lo..hi]);
-                } else {
-                    dst.copy_from_slice(&data[lo..hi]);
-                    shard
-                        .locked
-                        .insert(line_addr, LockedLine { data, dirty: false });
+                [0; CACHELINE]
+            };
+            data[lo..hi].copy_from_slice(&src[from]);
+            st.put(bit, data, true);
+            CacheStatsCell::bump(&self.stats.store_misses);
+        }
+    }
+
+    /// Load the bytes of `[addr, end)` that fall in `lines` (normal
+    /// partition). Hits are charged; a miss pays the device read.
+    fn load_sets(&self, addr: u64, end: u64, lines: Range<u64>, buf: &mut [u8], hits: &mut u64) {
+        let mut held = None;
+        for line in lines.step_by(CACHELINE) {
+            let (lo, hi, to) = span(addr, end, line);
+            let (si, set) = self.place(line);
+            let victim = {
+                let shard = relock(&self.shards, &mut held, si);
+                let tick = shard.next_tick();
+                if let Some(slot) = shard.find(set, line) {
+                    shard.ticks[slot] = tick;
+                    buf[to].copy_from_slice(&shard.data[slot][lo..hi]);
+                    CacheStatsCell::bump(&self.stats.load_hits);
+                    *hits += 1;
+                    continue;
                 }
                 CacheStatsCell::bump(&self.stats.load_misses);
-            }
-            return;
+                let data = self.fill(shard, line);
+                buf[to].copy_from_slice(&data[lo..hi]);
+                shard.install(set, line, &data, false, tick)
+            };
+            self.evict(&mut held, victim);
         }
-
-        let (si, set) = self.place(line_addr);
-        let mut shard = self.shards[si].lock();
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some(l) = shard.sets[set].iter_mut().find(|l| l.tag == line_addr) {
-            l.tick = tick;
-            dst.copy_from_slice(&l.data[lo..hi]);
-            CacheStatsCell::bump(&self.stats.load_hits);
-            drop(shard);
-            self.charge_hit();
-            return;
-        }
-        CacheStatsCell::bump(&self.stats.load_misses);
-        drop(shard);
-        let mut data = [0u8; CACHELINE];
-        self.dev.read(line_addr, &mut data);
-        dst.copy_from_slice(&data[lo..hi]);
-        let mut shard = self.shards[si].lock();
-        // Re-check: another thread may have allocated the line meanwhile.
-        if shard.sets[set].iter().any(|l| l.tag == line_addr) {
-            return;
-        }
-        let victim = Self::insert_line(
-            &mut shard,
-            set,
-            self.cfg.ways,
-            Line {
-                tag: line_addr,
-                data,
-                dirty: false,
-                tick,
-            },
-        );
-        drop(shard);
-        self.evict(victim);
     }
 
-    /// Insert a line, returning the LRU victim if the set was full.
-    fn insert_line(shard: &mut Shard, set: usize, ways: usize, line: Line) -> Option<Line> {
-        let victim = if shard.sets[set].len() >= ways {
-            let lru = shard.sets[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.tick)
-                .map(|(i, _)| i)
-                .expect("full set has a victim");
-            Some(shard.sets[set].swap_remove(lru))
-        } else {
-            None
-        };
-        shard.sets[set].push(line);
-        victim
-    }
-
-    fn evict(&self, victim: Option<Line>) {
-        if let Some(v) = victim {
-            CacheStatsCell::bump(&self.stats.evictions);
-            if v.dirty {
-                CacheStatsCell::bump(&self.stats.dirty_evictions);
-                self.dev.write_cacheline(v.tag, &v.data);
+    fn load_locked(
+        &self,
+        r: &Region,
+        addr: u64,
+        end: u64,
+        lines: Range<u64>,
+        buf: &mut [u8],
+        hits: &mut u64,
+    ) {
+        let mut held = None;
+        for line in lines.step_by(CACHELINE) {
+            let (lo, hi, to) = span(addr, end, line);
+            let (i, bit) = r.locate(line);
+            let st = relock(&r.stripes, &mut held, i);
+            if st.retired {
+                held = None;
+                self.load_sets(addr, end, line..line + LINE, buf, hits);
+                continue;
             }
+            CacheStatsCell::bump(&self.stats.locked_hits);
+            if let Some(d) = st.get(bit) {
+                buf[to].copy_from_slice(&d[lo..hi]);
+                CacheStatsCell::bump(&self.stats.load_hits);
+                *hits += 1;
+                continue;
+            }
+            let data = self.fill_locked(line);
+            buf[to].copy_from_slice(&data[lo..hi]);
+            st.put(bit, data, false);
+            CacheStatsCell::bump(&self.stats.load_misses);
         }
     }
 
@@ -394,30 +646,31 @@ impl Llc {
     pub(crate) fn cas_u64(&self, addr: u64, expected: u64, new: u64) -> u64 {
         assert_eq!(addr % 8, 0, "CAS must be 8-byte aligned");
         let line = addr & LINE_MASK;
-        assert!(self.is_locked(line), "cas_u64 requires a CAT-locked line");
-        let (si, _) = self.place(line);
-        let mut shard = self.shards[si].lock();
-        if !shard.locked.contains_key(&line) {
+        let region = self
+            .regions
+            .read()
+            .iter()
+            .find(|r| line >= r.start && line < r.end)
+            .cloned();
+        let region = region.expect("cas_u64 requires a CAT-locked line");
+        let (i, bit) = region.locate(line);
+        let mut st = region.stripes[i].lock();
+        assert!(!st.retired, "cas_u64 requires a CAT-locked line");
+        if st.get(bit).is_none() {
             // First touch after a CAT re-lock: fetch the line's true
-            // contents from the device before operating on it.
-            drop(shard);
-            let mut data = [0u8; CACHELINE];
-            self.dev.read(line, &mut data);
-            shard = self.shards[si].lock();
-            shard
-                .locked
-                .entry(line)
-                .or_insert(LockedLine { data, dirty: false });
+            // contents before operating on it.
+            let data = self.fill_locked(line);
+            st.put(bit, data, false);
         }
-        let l = shard.locked.get_mut(&line).expect("just ensured present");
         let off = (addr - line) as usize;
-        let cur = u64::from_le_bytes(l.data[off..off + 8].try_into().unwrap());
+        let d = st.get_mut(bit).expect("just ensured present");
+        let cur = u64::from_le_bytes(d[off..off + 8].try_into().unwrap());
         if cur == expected {
-            l.data[off..off + 8].copy_from_slice(&new.to_le_bytes());
-            l.dirty = true;
+            d[off..off + 8].copy_from_slice(&new.to_le_bytes());
+            st.dirty |= 1 << bit;
         }
-        drop(shard);
-        self.charge_hit();
+        drop(st);
+        self.charge_hits(1);
         cur
     }
 
@@ -440,36 +693,73 @@ impl Llc {
         } else {
             lat.clwb_ns
         };
-        let mut line = addr & LINE_MASK;
+        let first = addr & LINE_MASK;
         let end = addr + len as u64;
-        while line < end {
-            CacheStatsCell::bump(&self.stats.flush_ops);
-            self.dev.clock().charge(cost);
+        let lines = end.saturating_sub(first).div_ceil(LINE);
+        self.stats
+            .flush_ops
+            .fetch_add(lines, std::sync::atomic::Ordering::Relaxed);
+        self.dev.clock().charge(lines * cost);
+        self.write_back_lines(first, end, invalidate);
+    }
+
+    /// Write back every dirty line among the lines of `[first, end)`, in
+    /// address order, and drop them from the cache if `invalidate`.
+    fn write_back_lines(&self, first: u64, end: u64, invalidate: bool) {
+        self.for_each_run(first, end, |region, first, stop| match region {
+            Some(r) => self.write_back_locked(r, first..stop, invalidate),
+            None => self.write_back_sets(first..stop, invalidate),
+        });
+    }
+
+    fn write_back_sets(&self, lines: Range<u64>, invalidate: bool) {
+        let mut held = None;
+        for line in lines.step_by(CACHELINE) {
             let (si, set) = self.place(line);
-            let mut shard = self.shards[si].lock();
-            let mut to_write: Option<[u8; CACHELINE]> = None;
-            if let Some(l) = shard.locked.get_mut(&line) {
-                if l.dirty {
-                    to_write = Some(l.data);
-                    l.dirty = false;
-                }
-                if invalidate {
-                    shard.locked.remove(&line);
-                }
-            } else if let Some(pos) = shard.sets[set].iter().position(|l| l.tag == line) {
-                if shard.sets[set][pos].dirty {
-                    to_write = Some(shard.sets[set][pos].data);
-                    shard.sets[set][pos].dirty = false;
-                }
-                if invalidate {
-                    shard.sets[set].swap_remove(pos);
-                }
+            let shard = relock(&self.shards, &mut held, si);
+            let Some(slot) = shard.find(set, line) else {
+                continue;
+            };
+            let dirty = shard.dirty[slot];
+            let data = shard.data[slot];
+            if invalidate {
+                shard.clear(slot);
+            } else {
+                shard.dirty[slot] = false;
             }
-            drop(shard);
-            if let Some(data) = to_write {
-                self.dev.write_cacheline(line, &data);
+            if dirty {
+                let ticket = shard.depart(line, data);
+                held = None;
+                self.write_back(si, line, ticket, &data);
             }
-            line += CACHELINE as u64;
+        }
+    }
+
+    fn write_back_locked(&self, r: &Region, lines: Range<u64>, invalidate: bool) {
+        let mut held = None;
+        for line in lines.step_by(CACHELINE) {
+            let (i, bit) = r.locate(line);
+            let st = relock(&r.stripes, &mut held, i);
+            if st.retired {
+                held = None;
+                self.write_back_sets(line..line + LINE, invalidate);
+                continue;
+            }
+            let Some(&data) = st.get(bit) else {
+                continue;
+            };
+            let dirty = st.is_dirty(bit);
+            st.dirty &= !(1 << bit);
+            if invalidate {
+                st.present &= !(1 << bit);
+            }
+            if dirty {
+                // Enter the line in flight before the stripe lock drops.
+                let si = self.place(line).0;
+                let ticket = self.shards[si].lock().depart(line, data);
+                held = None;
+                self.write_back(si, line, ticket, &data);
+            }
         }
     }
 
@@ -479,31 +769,7 @@ impl Llc {
     /// coherent (dirty ones written back) and invalidated.
     pub(crate) fn nt_store(&self, addr: u64, data: &[u8]) {
         let lat = self.dev.config().latency;
-        // Invalidate overlapping cached lines so later loads see the stream.
-        let first = addr & LINE_MASK;
-        let end = addr + data.len() as u64;
-        let mut line = first;
-        while line < end {
-            let (si, set) = self.place(line);
-            let mut shard = self.shards[si].lock();
-            let mut writeback: Option<[u8; CACHELINE]> = None;
-            if let Some(l) = shard.locked.get(&line) {
-                if l.dirty {
-                    writeback = Some(l.data);
-                }
-                shard.locked.remove(&line);
-            } else if let Some(pos) = shard.sets[set].iter().position(|l| l.tag == line) {
-                let l = shard.sets[set].swap_remove(pos);
-                if l.dirty {
-                    writeback = Some(l.data);
-                }
-            }
-            drop(shard);
-            if let Some(d) = writeback {
-                self.dev.write_cacheline(line, &d);
-            }
-            line += CACHELINE as u64;
-        }
+        self.write_back_lines(addr & LINE_MASK, addr + data.len() as u64, true);
         // Stream the payload. Full lines go straight through; edges are
         // completed by the device's read-patch path.
         let lines = data.len().div_ceil(CACHELINE) as u64;
@@ -519,37 +785,61 @@ impl Llc {
         self.dev.persist_barrier();
     }
 
-    /// Write back every dirty line (both partitions) without invalidating.
+    /// Write back every dirty line (both partitions, and every line in
+    /// flight) without invalidating.
     ///
-    /// The snapshot is a single point-in-time cut: all shards are locked at
-    /// once, dirty lines collected, then the locks released before the data
-    /// streams to the device. A real power failure freezes execution
-    /// instantly — every retired store is inside the eADR domain — so the
-    /// capture must not interleave with concurrent stores shard-by-shard
-    /// (that could capture a published header CAS while missing the record
-    /// bytes the same thread stored just before it, an ordering no hardware
-    /// can produce). No caller may hold a shard lock across a device write,
-    /// or the fault-trip observer running this would deadlock.
+    /// The snapshot is a single point-in-time cut: every stripe and every
+    /// shard is locked at once, dirty lines collected, then the locks
+    /// released before the data streams to the device. A real power failure
+    /// freezes execution instantly — every retired store is inside the eADR
+    /// domain — so the capture must not interleave with concurrent stores
+    /// shard-by-shard (that could capture a published header CAS while
+    /// missing the record bytes the same thread stored just before it, an
+    /// ordering no hardware can produce). No caller may hold a simulator lock
+    /// across a device write, or the fault-trip observer running this would
+    /// deadlock.
     pub(crate) fn writeback_all(&self) {
-        let mut guards: Vec<_> = self.shards.iter().map(|m| m.lock()).collect();
-        let mut pending: Vec<(u64, [u8; CACHELINE])> = Vec::new();
-        for shard in guards.iter_mut() {
-            for set in shard.sets.iter_mut() {
-                for l in set.iter_mut().filter(|l| l.dirty) {
-                    pending.push((l.tag, l.data));
-                    l.dirty = false;
-                }
-            }
-            for (addr, l) in shard.locked.iter_mut() {
-                if l.dirty {
-                    pending.push((*addr, l.data));
-                    l.dirty = false;
+        let regions: Vec<Arc<Region>> = self.regions.read().clone();
+        let mut stripes: Vec<_> = regions
+            .iter()
+            .flat_map(|r| {
+                r.stripes
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, s)| (r, i, s.lock()))
+            })
+            .collect();
+        let mut shards: Vec<_> = self.shards.iter().map(|m| m.lock()).collect();
+        // In-flight copies first: a cached copy of the same line is newer.
+        let mut pending: Vec<(u64, LineData)> = shards
+            .iter()
+            .flat_map(|s| s.inflight.iter().map(|e| (e.0, e.2)))
+            .collect();
+        for shard in shards.iter_mut() {
+            for slot in 0..shard.tags.len() {
+                if shard.dirty[slot] {
+                    pending.push((shard.tags[slot] & !VALID, shard.data[slot]));
+                    shard.dirty[slot] = false;
                 }
             }
         }
-        drop(guards);
-        // Deterministic order: by address.
-        pending.sort_unstable_by_key(|&(a, _)| a);
+        for (r, i, st) in stripes.iter_mut() {
+            let mut dirty = st.dirty;
+            while dirty != 0 {
+                let bit = dirty.trailing_zeros();
+                dirty &= dirty - 1;
+                let data = *st.get(bit).expect("dirty lines are present");
+                pending.push((r.line_at(*i, bit), data));
+            }
+            st.dirty = 0;
+        }
+        drop(shards);
+        drop(stripes);
+        // Deterministic order, by address; of several copies of one line
+        // only the newest (the last collected) is written.
+        pending.reverse();
+        pending.sort_by_key(|&(a, _)| a);
+        pending.dedup_by_key(|&mut (a, _)| a);
         for (addr, data) in pending {
             self.dev.write_cacheline(addr, &data);
         }
@@ -558,26 +848,36 @@ impl Llc {
     /// Drop every line. Under ADR this is what a power failure does to the
     /// caches; dirty data is lost.
     pub(crate) fn invalidate_all(&self) {
+        for r in std::mem::take(&mut *self.regions.write()) {
+            for s in r.stripes.iter() {
+                *s.lock() = Stripe {
+                    retired: true,
+                    ..Stripe::default()
+                };
+            }
+        }
         for m in &self.shards {
             let mut shard = m.lock();
-            for set in shard.sets.iter_mut() {
-                set.clear();
-            }
-            shard.locked.clear();
+            shard.tags.fill(0);
+            shard.dirty.fill(false);
         }
-        self.locked_ranges.write().clear();
     }
 
     /// Number of dirty lines currently held (test helper).
     pub(crate) fn dirty_lines(&self) -> usize {
-        self.shards
+        let cached: usize = self
+            .shards
             .iter()
-            .map(|m| {
-                let s = m.lock();
-                s.sets.iter().flatten().filter(|l| l.dirty).count()
-                    + s.locked.values().filter(|l| l.dirty).count()
-            })
-            .sum()
+            .map(|m| m.lock().dirty.iter().filter(|&&d| d).count())
+            .sum();
+        let locked: u32 = self
+            .regions
+            .read()
+            .iter()
+            .flat_map(|r| r.stripes.iter())
+            .map(|s| s.lock().dirty.count_ones())
+            .sum();
+        cached + locked as usize
     }
 }
 
@@ -586,8 +886,105 @@ impl Llc {
     /// Whether `addr`'s line is present in either partition (test helper).
     pub(crate) fn contains_line(&self, addr: u64) -> bool {
         let line = addr & LINE_MASK;
+        let region = self
+            .regions
+            .read()
+            .iter()
+            .find(|r| line >= r.start && line < r.end)
+            .cloned();
+        if let Some(r) = region {
+            let (i, bit) = r.locate(line);
+            if r.stripes[i].lock().get(bit).is_some() {
+                return true;
+            }
+        }
         let (si, set) = self.place(line);
-        let shard = self.shards[si].lock();
-        shard.locked.contains_key(&line) || shard.sets[set].iter().any(|l| l.tag == line)
+        self.shards[si].lock().find(set, line).is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cachekv_pmem::PmemConfig;
+    use std::sync::mpsc;
+
+    #[test]
+    fn a_load_in_the_writeback_gap_reads_the_departing_line() {
+        // One set of four ways: the fifth line stored evicts line 0.
+        let dev = Arc::new(PmemDevice::new(PmemConfig::small()));
+        let cfg = CacheConfig {
+            capacity: 256,
+            ways: 4,
+            shards: 1,
+        };
+        let llc = Arc::new(Llc::new(dev, cfg));
+        let (in_gap, gap_entered) = mpsc::channel();
+        let (loaded, gap_may_close) = mpsc::channel::<()>();
+        let writer = {
+            let llc = llc.clone();
+            std::thread::spawn(move || {
+                WRITEBACK_GAP.with(|h| {
+                    *h.borrow_mut() = Some(Box::new(move |line| {
+                        if line == 0 {
+                            in_gap.send(()).unwrap();
+                            gap_may_close.recv().unwrap();
+                        }
+                    }))
+                });
+                llc.store(0, &[1; CACHELINE]);
+                for i in 1..=4 {
+                    llc.store(i * LINE, &[2; CACHELINE]);
+                }
+            })
+        };
+        gap_entered.recv().unwrap();
+        let mut during = [0; CACHELINE];
+        llc.load(0, &mut during);
+        loaded.send(()).unwrap();
+        writer.join().unwrap();
+        assert_eq!(during, [1; CACHELINE], "load in the gap saw the device");
+        let mut after = [0; CACHELINE];
+        llc.load(0, &mut after);
+        assert_eq!(after, [1; CACHELINE], "a stale fill outlived the write");
+        let mut dev_copy = [0; CACHELINE];
+        llc.device().read(0, &mut dev_copy);
+        assert_eq!(dev_copy, [1; CACHELINE]);
+    }
+
+    #[test]
+    fn writeback_all_cuts_in_flight_lines() {
+        let dev = Arc::new(PmemDevice::new(PmemConfig::small()));
+        let cfg = CacheConfig {
+            capacity: 256,
+            ways: 4,
+            shards: 1,
+        };
+        let llc = Arc::new(Llc::new(dev, cfg));
+        let (in_gap, gap_entered) = mpsc::channel();
+        let (cut, gap_may_close) = mpsc::channel::<()>();
+        let writer = {
+            let llc = llc.clone();
+            std::thread::spawn(move || {
+                WRITEBACK_GAP.with(|h| {
+                    *h.borrow_mut() = Some(Box::new(move |line| {
+                        if line == 0 {
+                            in_gap.send(()).unwrap();
+                            gap_may_close.recv().unwrap();
+                        }
+                    }))
+                });
+                llc.store(0, &[7; CACHELINE]);
+                llc.clflush(0, CACHELINE);
+            })
+        };
+        gap_entered.recv().unwrap();
+        // The line is in neither partition now, and not on the device yet.
+        assert!(!llc.contains_line(0));
+        llc.writeback_all();
+        let image = llc.device().clone_media();
+        cut.send(()).unwrap();
+        writer.join().unwrap();
+        assert_eq!(&image[0][..CACHELINE], &[7; CACHELINE], "cut missed it");
     }
 }

@@ -46,7 +46,7 @@ mod media;
 mod stats;
 mod xpbuffer;
 
-pub use clock::{Clock, ClockMode};
+pub use clock::{Clock, ClockMode, SpinScope};
 pub use config::{LatencyConfig, PersistDomain, PmemConfig};
 pub use device::PmemDevice;
 pub use faults::{fault_context, FaultContextGuard, FaultPlan, TripReport};

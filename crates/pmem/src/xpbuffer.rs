@@ -9,19 +9,17 @@
 //! mechanism of the paper's Figure 3.
 
 use crate::{CACHELINE, SECTORS_PER_XPLINE, XPLINE};
-use std::collections::HashMap;
 
 /// All sectors dirty: no read-modify-write needed on eviction.
 const FULL_MASK: u8 = (1 << SECTORS_PER_XPLINE) - 1;
+/// Line offset of a free slot (no XPLine starts there).
+const FREE: u64 = u64::MAX;
+/// Buckets of the open-line filter.
+const BUCKETS: usize = 256;
 
-/// One staged XPLine.
-#[derive(Clone)]
-struct Slot {
-    data: [u8; XPLINE],
-    /// Bit i set => sector i holds CPU data newer than the media.
-    valid_mask: u8,
-    /// LRU timestamp.
-    tick: u64,
+#[inline]
+fn bucket(line: u64) -> usize {
+    (line / XPLINE as u64) as usize % BUCKETS
 }
 
 /// What happened to a slot that was pushed out to the media.
@@ -57,9 +55,23 @@ pub(crate) struct WriteOutcome {
 }
 
 /// A bounded write-combining buffer in front of one DIMM's media.
+///
+/// The slots are parallel arrays, so finding a line scans one packed run of
+/// offsets, and a per-bucket count of open lines answers most misses (every
+/// read of an unbuffered line) without the scan. Every write draws a fresh
+/// tick, so ticks are unique and the LRU victim (the minimum) does not
+/// depend on slot order.
 pub(crate) struct XpBuffer {
-    slots: HashMap<u64, Slot>,
-    capacity: usize,
+    /// XPLine-aligned DIMM-local offset per slot; [`FREE`] if unused.
+    lines: Vec<u64>,
+    /// LRU timestamp per slot.
+    ticks: Vec<u64>,
+    /// Bit i set => sector i holds CPU data newer than the media.
+    masks: Vec<u8>,
+    data: Vec<[u8; XPLINE]>,
+    /// Open slots per [`bucket`] of their line offset.
+    filter: [u32; BUCKETS],
+    open: usize,
     next_tick: u64,
 }
 
@@ -68,26 +80,44 @@ impl XpBuffer {
     pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "XPBuffer needs at least one slot");
         XpBuffer {
-            slots: HashMap::with_capacity(capacity + 1),
-            capacity,
+            lines: vec![FREE; capacity],
+            ticks: vec![0; capacity],
+            masks: vec![0; capacity],
+            data: vec![[0; XPLINE]; capacity],
+            filter: [0; BUCKETS],
+            open: 0,
             next_tick: 0,
         }
     }
 
+    #[inline]
+    fn find(&self, line: u64) -> Option<usize> {
+        if self.filter[bucket(line)] == 0 {
+            return None;
+        }
+        self.lines.iter().position(|&l| l == line)
+    }
+
+    /// Open slots' indexes, by line offset.
+    fn by_line(&self) -> Vec<usize> {
+        let mut open: Vec<usize> = (0..self.lines.len())
+            .filter(|&i| self.lines[i] != FREE)
+            .collect();
+        open.sort_unstable_by_key(|&i| self.lines[i]);
+        open
+    }
+
     /// Snapshot of every open slot, sorted by line offset for determinism.
     pub(crate) fn snapshot(&self) -> Vec<SlotSnapshot> {
-        let mut out: Vec<SlotSnapshot> = self
-            .slots
-            .iter()
-            .map(|(&line, s)| SlotSnapshot {
-                line,
-                data: s.data,
-                valid_mask: s.valid_mask,
-                tick: s.tick,
+        self.by_line()
+            .into_iter()
+            .map(|i| SlotSnapshot {
+                line: self.lines[i],
+                data: self.data[i],
+                valid_mask: self.masks[i],
+                tick: self.ticks[i],
             })
-            .collect();
-        out.sort_unstable_by_key(|s| s.line);
-        out
+            .collect()
     }
 
     /// Stage one 64 B cacheline destined for DIMM-local offset `off` (must be
@@ -104,73 +134,82 @@ impl XpBuffer {
         let sector = ((off - line) / CACHELINE as u64) as usize;
         self.next_tick += 1;
         let tick = self.next_tick;
+        let s = sector * CACHELINE;
 
-        if let Some(slot) = self.slots.get_mut(&line) {
-            let s = sector * CACHELINE;
-            slot.data[s..s + CACHELINE].copy_from_slice(data);
-            slot.valid_mask |= 1 << sector;
-            slot.tick = tick;
+        if let Some(i) = self.find(line) {
+            self.data[i][s..s + CACHELINE].copy_from_slice(data);
+            self.masks[i] |= 1 << sector;
+            self.ticks[i] = tick;
             return WriteOutcome {
                 hit: true,
                 evicted: None,
             };
         }
 
-        let evicted = if self.slots.len() >= self.capacity {
-            Some(self.evict_lru(media))
+        let (i, evicted) = if self.open >= self.lines.len() {
+            let (i, ev) = self.evict_lru(media);
+            self.filter[bucket(self.lines[i])] -= 1;
+            (i, Some(ev))
         } else {
-            None
+            let i = self
+                .lines
+                .iter()
+                .position(|&l| l == FREE)
+                .expect("a free slot below capacity");
+            self.open += 1;
+            (i, None)
         };
-
-        let mut slot = Slot {
-            data: [0u8; XPLINE],
-            valid_mask: 1 << sector,
-            tick,
-        };
-        let s = sector * CACHELINE;
-        slot.data[s..s + CACHELINE].copy_from_slice(data);
-        self.slots.insert(line, slot);
+        self.filter[bucket(line)] += 1;
+        self.lines[i] = line;
+        self.ticks[i] = tick;
+        self.masks[i] = 1 << sector;
+        self.data[i] = [0; XPLINE];
+        self.data[i][s..s + CACHELINE].copy_from_slice(data);
         WriteOutcome {
             hit: false,
             evicted,
         }
     }
 
-    /// Push the least-recently-used slot out to the media.
-    fn evict_lru(&mut self, media: &mut [u8]) -> Eviction {
-        let (&line, _) = self
-            .slots
-            .iter()
-            .min_by_key(|(_, s)| s.tick)
+    /// Push the least-recently-used slot out to the media, leaving its
+    /// index to be reused.
+    fn evict_lru(&mut self, media: &mut [u8]) -> (usize, Eviction) {
+        let i = (0..self.lines.len())
+            .min_by_key(|&i| self.ticks[i])
             .expect("evict_lru called on empty buffer");
-        let slot = self.slots.remove(&line).expect("slot vanished");
-        Self::write_out(line, &slot, media)
+        (i, self.write_out(i, media))
     }
 
     /// Write every open slot to the media (power-fail drain or explicit
     /// flush). Returns the evictions performed, for accounting.
     pub(crate) fn drain(&mut self, media: &mut [u8]) -> Vec<Eviction> {
-        let mut lines: Vec<u64> = self.slots.keys().copied().collect();
-        lines.sort_unstable();
-        let mut out = Vec::with_capacity(lines.len());
-        for line in lines {
-            let slot = self.slots.remove(&line).expect("slot vanished");
-            out.push(Self::write_out(line, &slot, media));
-        }
+        let out = self
+            .by_line()
+            .into_iter()
+            .map(|i| {
+                let ev = self.write_out(i, media);
+                self.lines[i] = FREE;
+                ev
+            })
+            .collect();
+        self.filter = [0; BUCKETS];
+        self.open = 0;
         out
     }
 
-    fn write_out(line: u64, slot: &Slot, media: &mut [u8]) -> Eviction {
-        let base = line as usize;
-        let kind = if slot.valid_mask == FULL_MASK {
+    fn write_out(&self, i: usize, media: &mut [u8]) -> Eviction {
+        let base = self.lines[i] as usize;
+        let mask = self.masks[i];
+        let kind = if mask == FULL_MASK {
             Eviction::Full
         } else {
             Eviction::ReadModifyWrite
         };
         for sector in 0..SECTORS_PER_XPLINE {
-            if slot.valid_mask & (1 << sector) != 0 {
+            if mask & (1 << sector) != 0 {
                 let s = sector * CACHELINE;
-                media[base + s..base + s + CACHELINE].copy_from_slice(&slot.data[s..s + CACHELINE]);
+                media[base + s..base + s + CACHELINE]
+                    .copy_from_slice(&self.data[i][s..s + CACHELINE]);
             }
             // Invalid sectors keep the media's current contents — the
             // read-modify-write "read" half.
@@ -182,7 +221,7 @@ impl XpBuffer {
     /// onto `buf`, which the caller pre-filled from the media. Keeps reads
     /// coherent with pending writes.
     pub(crate) fn overlay_reads(&self, off: u64, buf: &mut [u8]) {
-        if self.slots.is_empty() || buf.is_empty() {
+        if self.open == 0 || buf.is_empty() {
             return;
         }
         let start = off;
@@ -190,9 +229,9 @@ impl XpBuffer {
         let first_line = start & !(XPLINE as u64 - 1);
         let mut line = first_line;
         while line < end {
-            if let Some(slot) = self.slots.get(&line) {
+            if let Some(i) = self.find(line) {
                 for sector in 0..SECTORS_PER_XPLINE {
-                    if slot.valid_mask & (1 << sector) == 0 {
+                    if self.masks[i] & (1 << sector) == 0 {
                         continue;
                     }
                     let sec_start = line + (sector * CACHELINE) as u64;
@@ -200,7 +239,7 @@ impl XpBuffer {
                     let lo = sec_start.max(start);
                     let hi = sec_end.min(end);
                     if lo < hi {
-                        let src = &slot.data[(lo - line) as usize..(hi - line) as usize];
+                        let src = &self.data[i][(lo - line) as usize..(hi - line) as usize];
                         buf[(lo - start) as usize..(hi - start) as usize].copy_from_slice(src);
                     }
                 }
@@ -214,12 +253,17 @@ impl XpBuffer {
 impl XpBuffer {
     /// Number of currently open slots.
     pub(crate) fn len(&self) -> usize {
-        self.slots.len()
+        self.open
     }
 
     /// True when no slots are open.
     pub(crate) fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.open == 0
+    }
+
+    /// Whether the XPLine at `line` has an open slot.
+    fn contains(&self, line: u64) -> bool {
+        self.find(line).is_some()
     }
 }
 
@@ -285,8 +329,8 @@ mod tests {
         buf.write_cacheline(256, &cl(2), &mut media); // line 256
         buf.write_cacheline(64, &cl(1), &mut media); // touch line 0 again
         buf.write_cacheline(512, &cl(3), &mut media); // must evict line 256
-        assert!(buf.slots.contains_key(&0));
-        assert!(!buf.slots.contains_key(&256));
+        assert!(buf.contains(0));
+        assert!(!buf.contains(256));
         assert!(media[256..320].iter().all(|&b| b == 2));
     }
 
