@@ -2,7 +2,7 @@
 //! consulted before the shard submission queue on GET.
 //!
 //! ```text
-//!   GET ──► per-core replica slab ──hit──► reply (no queue, no engine)
+//!   GET ──► slab ──hit──► reply (no queue, no engine)
 //!              │ miss
 //!              ▼
 //!        shard.store().get() ──► epoch-gated fill ──► reply
@@ -23,54 +23,54 @@
 //!   quiescent, odd while a commit round is applying. Only the shard's
 //!   committer thread advances it.
 //! * Before applying a round, the committer publishes the round's write-key
-//!   **bloom** into a seqlock slot of the shard's round log, then bumps the
-//!   epoch to odd. After applying, it updates (put) or removes (delete)
-//!   every replica's entry for the round's keys — stamped with the upcoming
-//!   even epoch — then bumps the epoch to even, and only then are acks
-//!   released.
-//! * Every cached entry carries the epoch **stamp** at which it was last
-//!   known to equal the engine's value. A probe serves an entry iff its
-//!   stamp is current, or the round log proves no round since the stamp
-//!   wrote the key (re-stamping it forward). Anything else is a miss and
-//!   the entry is dropped.
+//!   **bloom** into the shard's one seqlock round slot, then bumps the
+//!   epoch to odd. After applying, it updates (put) or removes (delete,
+//!   failed write) the slab's entry for every written key — stamped with
+//!   the upcoming even epoch — then bumps the epoch to even, and only then
+//!   are acks released.
+//! * **Invariant:** every finished round has updated or removed, under the
+//!   slab lock, each entry it wrote, so a cached entry is exact unless the
+//!   round in flight writes its key. A probe therefore hits unless the
+//!   epoch is odd, the entry predates it, and the in-flight round's bloom
+//!   may hold the key (or its slot is torn). That case is a plain miss:
+//!   the entry stays, because the round's publication is about to update
+//!   it.
 //! * A fill captures the shard epoch *before* probing the engine and
 //!   installs only if the epoch is even and unchanged at insert — a fill
 //!   that raced any round is discarded rather than risk caching a value
 //!   the round overwrote.
+//! * Probes, fills and publications read `enabled` under the slab lock,
+//!   where [`HotCache::set_enabled`] purges: a publication skipped while
+//!   the tier was off can then leave nothing behind for a re-enabled tier
+//!   to serve.
 //!
-//! Consequences: after a write is acked, no replica holds (or can ever
-//! re-admit) an older value for that key, so read-your-writes through the
-//! server path holds; and because the in-progress round's bloom is visible
-//! *before* its writes apply, a reader can never observe a new value from
-//! the engine and subsequently an older value from a replica — per-key
+//! Consequences: after a write is acked, the slab holds (and can re-admit)
+//! no older value for that key, so read-your-writes through the server
+//! path holds; and because the in-flight round's bloom is visible *before*
+//! its writes apply, a reader can never observe a new value from the
+//! engine and subsequently an older value from the slab — per-key
 //! observations are monotonic even mid-round.
 //!
-//! # Per-core replicas
+//! # One slab
 //!
-//! An ultra-hot key serialized on one cacheline would make the cache the
-//! bottleneck it is meant to remove. The cache therefore keeps one slab per
-//! server worker thread (I/O threads pin to a replica round-robin):
-//! probes and fills touch only the calling thread's slab, while the
-//! committer walks all slabs at round publication — writes pay the
-//! fan-out, reads stay core-local.
-//!
+//! Every I/O thread probes and fills the one slab behind one mutex, which
+//! holds the whole byte cap; a round's publication locks it once.
 //! Admission is a sampled frequency sketch (`FreqSketch`, TinyLFU-style)
-//! and eviction is CLOCK; each slab enforces a hard byte cap.
+//! and eviction is CLOCK.
 
 use crate::obs::ServerObs;
-use parking_lot::Mutex;
-use std::cell::Cell;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Accounted bytes per entry beyond key + value (map slot, stamps, clock
 /// state — a deliberate overestimate so the cap is honest).
 const ENTRY_OVERHEAD: usize = 96;
 
-/// FNV-1a 64 over `key` — the hash used for replicas' maps, the admission
-/// sketch, and round-log blooms. (Same family as shard routing, different
-/// use: this one never feeds `% shards`.)
+/// FNV-1a 64 over `key` — the hash used for the slab's entries, the
+/// admission sketch, and round blooms. (Same family as shard routing,
+/// different use: this one never feeds `% shards`.)
 pub fn key_hash(key: &[u8]) -> u64 {
     let mut h = 0x8422_2325_cbf2_9ce4u64;
     for &b in key {
@@ -84,45 +84,29 @@ pub fn key_hash(key: &[u8]) -> u64 {
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Hot-cache tuning knobs (part of [`crate::ServerConfig`]).
+/// Hot-cache configuration (part of [`crate::ServerConfig`]).
 #[derive(Debug, Clone)]
 pub struct HotCacheConfig {
-    /// Total byte cap across all replicas. `0` disables the tier entirely
-    /// (no slabs are allocated and it cannot be enabled at runtime).
+    /// The slab's byte cap. `0` disables the tier entirely (it cannot be
+    /// enabled at runtime).
     pub(crate) capacity_bytes: usize,
-    /// Per-core replica slabs. `0` = auto (available parallelism, max 8).
-    pub(crate) replicas: usize,
-    /// Round-log slots per shard: how many group-commit rounds back an
-    /// idle entry can be re-validated before coverage is lost and it is
-    /// dropped. Minimum 8.
-    pub(crate) round_log_slots: usize,
 }
 
 impl Default for HotCacheConfig {
     fn default() -> Self {
-        HotCacheConfig {
-            capacity_bytes: 16 << 20,
-            replicas: 0,
-            round_log_slots: 64,
-        }
+        HotCacheConfig::with_capacity(16 << 20)
     }
 }
 
 impl HotCacheConfig {
     /// A configuration with the tier compiled out of the request path.
     pub fn disabled() -> Self {
-        HotCacheConfig {
-            capacity_bytes: 0,
-            ..HotCacheConfig::default()
-        }
+        HotCacheConfig::with_capacity(0)
     }
 
-    /// Convenience: the default configuration at a given byte cap.
+    /// A configuration at a given byte cap.
     pub fn with_capacity(capacity_bytes: usize) -> Self {
-        HotCacheConfig {
-            capacity_bytes,
-            ..HotCacheConfig::default()
-        }
+        HotCacheConfig { capacity_bytes }
     }
 }
 
@@ -284,11 +268,12 @@ impl ClockEviction {
 }
 
 // ---------------------------------------------------------------------------
-// Round log (per shard): seqlock slots of per-round write-key blooms
+// Round clock (per shard): the epoch and the in-flight round's bloom
 // ---------------------------------------------------------------------------
 
 const BLOOM_WORDS: usize = 4; // 256-bit bloom, 2 bits per key
 
+#[derive(Default)]
 struct RoundSlot {
     /// The round's odd epoch, or 0 while the slot is being (re)written.
     seq: AtomicU64,
@@ -300,34 +285,20 @@ fn bloom_bits(h: u64) -> (usize, usize) {
     ((h as usize) % bits, ((h >> 21) as usize) % bits)
 }
 
+#[derive(Default)]
 struct ShardClock {
     /// Even = quiescent, odd = a commit round is applying. Written only by
     /// the shard's committer thread.
     epoch: AtomicU64,
-    log: Vec<RoundSlot>,
+    /// The write-key bloom of the latest round to begin.
+    round: RoundSlot,
 }
 
 impl ShardClock {
-    fn new(slots: usize) -> Self {
-        ShardClock {
-            epoch: AtomicU64::new(0),
-            log: (0..slots)
-                .map(|_| RoundSlot {
-                    seq: AtomicU64::new(0),
-                    bloom: Default::default(),
-                })
-                .collect(),
-        }
-    }
-
-    fn slot_for(&self, odd: u64) -> &RoundSlot {
-        &self.log[(((odd - 1) / 2) as usize) % self.log.len()]
-    }
-
     /// Publish round `odd`'s write-key bloom. Single writer (the
     /// committer); SeqCst so readers' double-checked reads order globally.
     fn publish(&self, odd: u64, hashes: &[u64]) {
-        let slot = self.slot_for(odd);
+        let slot = &self.round;
         slot.seq.store(0, Ordering::SeqCst);
         let mut words = [0u64; BLOOM_WORDS];
         for &h in hashes {
@@ -341,53 +312,29 @@ impl ShardClock {
         slot.seq.store(odd, Ordering::SeqCst);
     }
 
-    /// Did any round in `(stamp, upto]` possibly write a key hashing to
-    /// `h`? Returns `true` (conservative) when the log no longer covers
-    /// the range or a slot is torn mid-read.
-    fn maybe_written_since(&self, stamp: u64, upto: u64, h: u64) -> bool {
-        let first_odd = if stamp.is_multiple_of(2) {
-            stamp + 1
-        } else {
-            stamp + 2
-        };
-        if upto < first_odd {
-            return false; // no rounds in range
+    /// May round `odd` write a key hashing to `h`? `true` (conservative)
+    /// also when the slot is torn or already holds a later round.
+    fn in_flight_may_write(&self, odd: u64, h: u64) -> bool {
+        let slot = &self.round;
+        let (a, b) = bloom_bits(h);
+        if slot.seq.load(Ordering::SeqCst) != odd {
+            return true;
         }
-        let rounds = (upto - first_odd) / 2 + 1;
-        if rounds > self.log.len() as u64 {
-            return true; // coverage lost
-        }
-        let (ba, bb) = bloom_bits(h);
-        let mut odd = first_odd;
-        while odd <= upto {
-            let slot = self.slot_for(odd);
-            let s1 = slot.seq.load(Ordering::SeqCst);
-            if s1 != odd {
-                return true; // overwritten or mid-write
-            }
-            let wa = slot.bloom[ba / 64].load(Ordering::SeqCst);
-            let wb = slot.bloom[bb / 64].load(Ordering::SeqCst);
-            if slot.seq.load(Ordering::SeqCst) != odd {
-                return true; // torn read
-            }
-            if wa >> (ba % 64) & 1 == 1 && wb >> (bb % 64) & 1 == 1 {
-                return true; // round maybe wrote the key
-            }
-            odd += 2;
-        }
-        false
+        let wa = slot.bloom[a / 64].load(Ordering::SeqCst);
+        let wb = slot.bloom[b / 64].load(Ordering::SeqCst);
+        slot.seq.load(Ordering::SeqCst) != odd
+            || (wa >> (a % 64) & 1 == 1 && wb >> (b % 64) & 1 == 1)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Replica slabs
+// The slab
 // ---------------------------------------------------------------------------
 
 struct Entry {
     key: Box<[u8]>,
     value: Box<[u8]>,
     hash: u64,
-    shard: u32,
     /// Epoch at which `value` was last known to equal the engine's.
     stamp: u64,
 }
@@ -527,6 +474,11 @@ pub struct FillToken {
     usable: bool,
 }
 
+const UNUSABLE: FillToken = FillToken {
+    epoch: 0,
+    usable: false,
+};
+
 /// Token handed to the committer between [`HotCache::round_begin`] and
 /// [`HotCache::round_publish`].
 #[must_use]
@@ -538,112 +490,95 @@ pub struct RoundToken {
 /// The DRAM hot-key cache tier. One instance per [`crate::KvServer`],
 /// shared by every connection thread and shard committer.
 pub struct HotCache {
-    replicas: Vec<Mutex<Slab>>,
+    slab: Mutex<Slab>,
     shards: Vec<ShardClock>,
     admission: FreqSketch,
+    /// Written only under the slab lock, so a reader that checks it under
+    /// that lock is ordered against the purge of [`HotCache::set_enabled`].
     enabled: AtomicBool,
     obs: Arc<ServerObs>,
 }
 
-/// Round-robin replica assignment: each OS thread gets a stable slab so
-/// an ultra-hot key's probes never share a cacheline across cores.
-static REPLICA_TICKET: AtomicUsize = AtomicUsize::new(0);
+#[cfg(test)]
+type GapHook = Box<dyn FnMut()>;
 
+#[cfg(test)]
 thread_local! {
-    static REPLICA_ID: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Runs on this thread between `fill`'s unlocked `enabled` check and
+    /// its slab lock, so a test can act inside that window.
+    static FILL_GAP: std::cell::RefCell<Option<GapHook>> =
+        const { std::cell::RefCell::new(None) };
 }
 
-fn replica_ticket() -> usize {
-    REPLICA_ID.with(|c| match c.get() {
-        Some(t) => t,
-        None => {
-            let t = REPLICA_TICKET.fetch_add(1, Ordering::Relaxed);
-            c.set(Some(t));
-            t
+#[inline]
+fn fill_gap() {
+    #[cfg(test)]
+    FILL_GAP.with(|h| {
+        if let Some(f) = h.borrow_mut().as_mut() {
+            f()
         }
-    })
+    });
 }
 
 impl HotCache {
     /// Build the tier for `num_shards` shards. `capacity_bytes == 0`
-    /// allocates nothing and pins the tier off.
+    /// pins the tier off.
     pub fn new(cfg: &HotCacheConfig, num_shards: usize, obs: Arc<ServerObs>) -> Arc<HotCache> {
-        let replicas = if cfg.capacity_bytes == 0 {
-            0
-        } else if cfg.replicas > 0 {
-            cfg.replicas
-        } else {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-                .min(8)
-        };
-        let per_slab = cfg
-            .capacity_bytes
-            .checked_div(replicas)
-            .map_or(0, |per| per.max(ENTRY_OVERHEAD * 4));
-        // Size the sketch to roughly the entry count the cap implies.
-        let admission = FreqSketch::new((cfg.capacity_bytes / 256).clamp(1024, 1 << 20));
+        let capacity = cfg.capacity_bytes;
         Arc::new(HotCache {
-            replicas: (0..replicas)
-                .map(|_| Mutex::new(Slab::new(per_slab)))
-                .collect(),
-            shards: (0..num_shards)
-                .map(|_| ShardClock::new(cfg.round_log_slots.max(8)))
-                .collect(),
-            admission,
-            enabled: AtomicBool::new(replicas > 0),
+            slab: Mutex::new(Slab::new(capacity)),
+            shards: (0..num_shards).map(|_| ShardClock::default()).collect(),
+            // Size the sketch to roughly the entry count the cap implies.
+            admission: FreqSketch::new((capacity / 256).clamp(1024, 1 << 20)),
+            enabled: AtomicBool::new(capacity > 0),
             obs,
         })
     }
 
     /// Whether the tier is currently serving probes and fills.
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire) && !self.replicas.is_empty()
+        self.enabled.load(Ordering::Acquire)
     }
 
     /// Whether the tier was built with capacity at all.
     pub fn has_capacity(&self) -> bool {
-        !self.replicas.is_empty()
+        self.slab.lock().cap > 0
     }
 
-    /// Turn the tier on or off at runtime. Disabling purges every slab
+    /// Turn the tier on or off at runtime. Disabling purges the slab
     /// (re-enable starts cold). Returns the effective state: enabling a
     /// zero-capacity tier stays off.
     pub fn set_enabled(&self, on: bool) -> bool {
-        if self.replicas.is_empty() {
+        let mut slab = self.slab.lock();
+        if slab.cap == 0 {
             return false;
         }
         self.enabled.store(on, Ordering::Release);
         if !on {
-            for slab in &self.replicas {
-                let delta = slab.lock().purge();
-                self.obs.cache_bytes.add(delta);
-            }
+            self.obs.cache_bytes.add(slab.purge());
         }
         on
     }
 
-    /// Total cached bytes across replicas (tests / stats).
+    /// Cached bytes (tests / stats).
     pub fn bytes(&self) -> usize {
-        self.replicas.iter().map(|s| s.lock().bytes).sum()
+        self.slab.lock().bytes
     }
 
-    fn replica(&self) -> &Mutex<Slab> {
-        &self.replicas[replica_ticket() % self.replicas.len()]
+    /// The slab, locked, while the tier is enabled.
+    fn locked(&self) -> Option<MutexGuard<'_, Slab>> {
+        let slab = self.slab.lock();
+        self.is_enabled().then_some(slab)
     }
 
     // -- read path ---------------------------------------------------------
 
-    /// Probe the calling thread's replica for `key` on `shard`. `Ok` is a
-    /// hit; `Err` is a miss carrying the [`FillToken`] that must be
-    /// captured *before* the engine read backing the fill.
+    /// Probe the slab for `key` on `shard`. `Ok` is a hit; `Err` is a
+    /// miss carrying the [`FillToken`] that must be captured *before* the
+    /// engine read backing the fill.
     pub fn probe(&self, shard: usize, key: &[u8]) -> Result<Vec<u8>, FillToken> {
         if !self.is_enabled() {
-            return Err(FillToken {
-                epoch: 0,
-                usable: false,
-            });
+            return Err(UNUSABLE);
         }
         let clock = &self.shards[shard];
         let epoch = clock.epoch.load(Ordering::Acquire);
@@ -654,32 +589,22 @@ impl HotCache {
             // Fills are only sound from a quiescent (even) epoch.
             usable: epoch.is_multiple_of(2),
         };
-        let mut slab = self.replica().lock();
+        let Some(mut slab) = self.locked() else {
+            return Err(UNUSABLE);
+        };
         let Some(slot) = slab.slot_of(key) else {
             self.obs.cache_misses.inc();
             return Err(token);
         };
         let entry = slab.slots[slot].as_ref().expect("mapped slot occupied");
-        if entry.stamp >= epoch {
-            // Current (or installed by the in-flight round after its
-            // applies — the engine already serves that value).
-            let v = entry.value.to_vec();
-            slab.evict.on_hit(slot);
-            self.obs.cache_hits.inc();
-            return Ok(v);
-        }
-        if clock.maybe_written_since(entry.stamp, epoch, h) {
-            // A round since the stamp may have written the key (or log
-            // coverage is gone): the value is unusable, drop it.
-            let delta = -(slab.remove_slot(slot) as i64);
-            self.obs.cache_bytes.add(delta);
-            self.obs.cache_invalidations.inc();
+        // Every finished round updated or removed this entry under the
+        // slab lock, so only the round in flight can have outdated it. A
+        // stamp at or past `epoch` is that round's own publication.
+        if entry.stamp < epoch && !epoch.is_multiple_of(2) && clock.in_flight_may_write(epoch, h) {
+            // Keep the entry: the round's publication is about to update it.
             self.obs.cache_misses.inc();
             return Err(token);
         }
-        // No round touched the key since the stamp: still exact.
-        let entry = slab.slots[slot].as_mut().expect("mapped slot occupied");
-        entry.stamp = epoch;
         let v = entry.value.to_vec();
         slab.evict.on_hit(slot);
         self.obs.cache_hits.inc();
@@ -688,18 +613,23 @@ impl HotCache {
 
     /// Install `key = value` read from the engine under `token`. The fill
     /// is discarded if any commit round began on the shard since the token
-    /// was captured, or if admission prefers the incumbent victim.
+    /// was captured, if the tier was disabled meanwhile, or if admission
+    /// prefers the incumbent victim.
     pub fn fill(&self, shard: usize, key: &[u8], value: &[u8], token: FillToken) {
         if !token.usable || !self.is_enabled() {
             return;
         }
-        let clock = &self.shards[shard];
-        let h = key_hash(key);
-        let mut slab = self.replica().lock();
+        fill_gap();
+        // A disable that slipped in after the check above has purged the
+        // slab, and publications skip a disabled tier: installing now would
+        // leave an entry no later round updates.
+        let Some(mut slab) = self.locked() else {
+            return;
+        };
         // Epoch-gate under the slab lock: round publication takes this
         // lock too, so a round that slips in after this check will still
         // observe (and supersede) the entry we install.
-        if clock.epoch.load(Ordering::Acquire) != token.epoch {
+        if self.shards[shard].epoch.load(Ordering::Acquire) != token.epoch {
             self.obs.cache_fill_races.inc();
             return;
         }
@@ -715,8 +645,7 @@ impl HotCache {
         let entry = Entry {
             key: key.into(),
             value: value.into(),
-            hash: h,
-            shard: shard as u32,
+            hash: key_hash(key),
             stamp: token.epoch,
         };
         let (installed, delta, evictions) = slab.install(entry, &self.admission);
@@ -752,88 +681,67 @@ impl HotCache {
         Some(RoundToken { shard, odd })
     }
 
-    /// Publish a round's results: update or remove every replica's entry
-    /// for the written keys, then move the shard epoch back to even.
-    /// `writes` holds each applied write as `(key, Some(value))` for a put
-    /// or `(key, None)` for a delete. Must be called *after* the round's
-    /// writes are applied and *before* its acks are released.
+    /// Publish a round's results: update or remove the slab's entry for
+    /// every written key, then move the shard epoch back to even.
+    /// `writes` holds each written key as `(key, Some(value))` for an
+    /// applied put or `(key, None)` for a delete or a failed write. Must
+    /// be called *after* the round's writes are applied and *before* its
+    /// acks are released.
     pub fn round_publish(&self, token: RoundToken, writes: &[(&[u8], Option<&[u8]>)]) {
         let RoundToken { shard, odd } = token;
         let next_even = odd + 1;
-        if self.is_enabled() {
-            for slab in &self.replicas {
-                let mut slab = slab.lock();
-                for &(key, val) in writes {
-                    let Some(slot) = slab.slot_of(key) else {
-                        continue;
-                    };
-                    self.obs.cache_invalidations.inc();
-                    match val {
-                        None => {
-                            let delta = -(slab.remove_slot(slot) as i64);
-                            self.obs.cache_bytes.add(delta);
+        if let Some(mut slab) = self.locked() {
+            for &(key, val) in writes {
+                let Some(slot) = slab.slot_of(key) else {
+                    continue;
+                };
+                self.obs.cache_invalidations.inc();
+                match val {
+                    None => {
+                        let delta = -(slab.remove_slot(slot) as i64);
+                        self.obs.cache_bytes.add(delta);
+                    }
+                    Some(v) => {
+                        let entry = slab.slots[slot].as_mut().expect("mapped slot occupied");
+                        if entry.stamp > next_even {
+                            // Stamps only ever reach the epoch this
+                            // publication is about to install.
+                            self.obs.cache_tripwire.inc();
+                            continue;
                         }
-                        Some(v) => {
-                            let entry = slab.slots[slot].as_mut().expect("mapped slot occupied");
-                            if entry.stamp > next_even {
-                                // Stamps only ever reach the epoch this
-                                // publication is about to install.
-                                self.obs.cache_tripwire.inc();
-                                continue;
-                            }
-                            let old = entry.key.len() + entry.value.len() + ENTRY_OVERHEAD;
-                            entry.value = v.into();
-                            entry.stamp = next_even;
-                            let new = entry.bytes();
-                            slab.bytes = slab.bytes + new - old;
-                            self.obs.cache_bytes.add(new as i64 - old as i64);
-                        }
+                        let old = entry.bytes();
+                        entry.value = v.into();
+                        entry.stamp = next_even;
+                        let new = entry.bytes();
+                        slab.bytes = slab.bytes + new - old;
+                        self.obs.cache_bytes.add(new as i64 - old as i64);
                     }
                 }
-                // An updated value may have grown past the cap: trim.
-                let mut delta = 0i64;
-                while slab.bytes > slab.cap {
-                    let Some(v) = slab.pick_victim(None) else {
-                        break;
-                    };
-                    delta -= slab.remove_slot(v) as i64;
-                    self.obs.cache_evictions.inc();
-                }
-                if delta != 0 {
-                    self.obs.cache_bytes.add(delta);
-                }
+            }
+            // An updated value may have grown past the cap: trim.
+            let mut delta = 0i64;
+            while slab.bytes > slab.cap {
+                let Some(v) = slab.pick_victim(None) else {
+                    break;
+                };
+                delta -= slab.remove_slot(v) as i64;
+                self.obs.cache_evictions.inc();
+            }
+            if delta != 0 {
+                self.obs.cache_bytes.add(delta);
             }
         }
         self.shards[shard].epoch.store(next_even, Ordering::Release);
     }
 }
 
-// The `shard` field documents entry ownership for debugging; keep the
-// compiler honest about it being read.
-impl std::fmt::Debug for Entry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Entry")
-            .field("shard", &self.shard)
-            .field("stamp", &self.stamp)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     fn cache(cap: usize) -> Arc<HotCache> {
-        let obs = ServerObs::new();
-        HotCache::new(
-            &HotCacheConfig {
-                capacity_bytes: cap,
-                replicas: 1,
-                round_log_slots: 8,
-            },
-            1,
-            obs,
-        )
+        HotCache::new(&HotCacheConfig::with_capacity(cap), 1, ServerObs::new())
     }
 
     /// Probe `key` `heat` times (the last one misses), then fill it: the
@@ -867,10 +775,33 @@ mod tests {
             c.fill(0, k, v, t);
         }
         put_round(&c, b"a", b"9");
-        // Written key serves the round's new value; the other re-validates
-        // through the round log and stays.
+        // Written key serves the round's new value; the other one the
+        // round did not write, so its entry is still exact.
         assert_eq!(c.probe(0, b"a").unwrap(), b"9");
         assert_eq!(c.probe(0, b"b").unwrap(), b"2");
+    }
+
+    #[test]
+    fn in_flight_round_hides_only_its_keys() {
+        let c = cache(1 << 20);
+        for (k, v) in [(b"a", b"1"), (b"b", b"2")] {
+            let t = c.probe(0, k).unwrap_err();
+            c.fill(0, k, v, t);
+        }
+        let tok = c.round_begin(0, &[key_hash(b"a")]).unwrap();
+        let invalidations = c.obs.cache_invalidations.get();
+        assert!(
+            c.probe(0, b"a").is_err(),
+            "in-flight write served its old value"
+        );
+        assert!(
+            c.slab.lock().slot_of(b"a").is_some(),
+            "the miss dropped the entry"
+        );
+        assert_eq!(c.obs.cache_invalidations.get(), invalidations);
+        assert_eq!(c.probe(0, b"b").unwrap(), b"2");
+        c.round_publish(tok, &[(b"a".as_slice(), Some(b"9".as_slice()))]);
+        assert_eq!(c.probe(0, b"a").unwrap(), b"9");
     }
 
     #[test]
@@ -898,17 +829,46 @@ mod tests {
     }
 
     #[test]
-    fn coverage_loss_drops_entry() {
+    fn entry_outlives_unrelated_rounds() {
         let c = cache(1 << 20);
         let t = c.probe(0, b"k").unwrap_err();
         c.fill(0, b"k", b"v", t);
-        // Push more rounds than the log holds, none touching `k`.
-        for i in 0..20u64 {
+        for i in 0..1000u64 {
             let other = format!("other{i}");
             put_round(&c, other.as_bytes(), b"x");
         }
-        // Validation can no longer prove freshness: must miss, not serve.
-        assert!(c.probe(0, b"k").is_err());
+        assert_eq!(c.probe(0, b"k").unwrap(), b"v");
+    }
+
+    #[test]
+    fn fill_across_a_disable_is_dropped() {
+        let c = cache(1 << 20);
+        let (in_gap, gap_entered) = mpsc::channel();
+        let (disabled, gap_may_close) = mpsc::channel::<()>();
+        let filler = {
+            let c = c.clone();
+            std::thread::spawn(move || {
+                FILL_GAP.with(|h| {
+                    *h.borrow_mut() = Some(Box::new(move || {
+                        in_gap.send(()).unwrap();
+                        gap_may_close.recv().unwrap();
+                    }))
+                });
+                let t = c.probe(0, b"k").unwrap_err();
+                c.fill(0, b"k", b"old", t);
+            })
+        };
+        gap_entered.recv().unwrap();
+        assert!(!c.set_enabled(false));
+        disabled.send(()).unwrap();
+        filler.join().unwrap();
+        // The disabled tier skips this round's publication.
+        put_round(&c, b"k", b"new");
+        assert!(c.set_enabled(true));
+        assert!(
+            c.probe(0, b"k").is_err(),
+            "a fill that landed after the purge outlived the write"
+        );
     }
 
     #[test]
@@ -966,7 +926,7 @@ mod tests {
                 c.round_publish(tok, &[(k.as_bytes(), None)]);
             }
         }
-        let slab = c.replicas[0].lock();
+        let slab = c.slab.lock();
         assert!(
             slab.slots.len() <= 4,
             "slot ring grew unboundedly: {} slots",
@@ -974,7 +934,6 @@ mod tests {
         );
         assert_eq!(slab.slots.len(), slab.occupied.len());
         assert!(c.obs.cache_evictions.get() > 0, "churn never evicted");
-        // (HotCache::new may round the per-slab cap up to a small floor.)
         assert!(slab.bytes <= slab.cap);
         // The obs gauge must track actual slab bytes exactly.
         assert_eq!(c.obs.cache_bytes.get(), slab.bytes as i64);
@@ -984,16 +943,7 @@ mod tests {
     fn admission_reject_keeps_gauge_in_sync() {
         // With a sketch gate, a cold candidate is declined; any accounting
         // from the attempt must still leave the gauge equal to slab bytes.
-        let obs = ServerObs::new();
-        let c = HotCache::new(
-            &HotCacheConfig {
-                capacity_bytes: 2 * (ENTRY_OVERHEAD + 2),
-                replicas: 1,
-                round_log_slots: 8,
-            },
-            1,
-            obs,
-        );
+        let c = cache(2 * (ENTRY_OVERHEAD + 2));
         // Make two keys hot enough to be admitted and defended.
         for k in [b"a".as_slice(), b"b"] {
             for _ in 0..8 {
@@ -1016,7 +966,6 @@ mod tests {
             key: k.into(),
             value: b"v".as_slice().into(),
             hash: key_hash(k),
-            shard: 0,
             stamp: 0,
         };
         for k in [b"a".as_slice(), b"b", b"c"] {

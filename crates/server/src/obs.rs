@@ -47,7 +47,7 @@ pub struct ServerObs {
     pub(crate) queue_depth: Arc<Gauge>,
 
     // Hot-key cache tier (see `crate::cache`).
-    /// GETs served from a replica slab (no queue, no engine probe).
+    /// GETs served from the slab (no queue, no engine probe).
     pub cache_hits: Arc<Counter>,
     /// GETs that fell through to the engine.
     pub(crate) cache_misses: Arc<Counter>,
@@ -57,13 +57,13 @@ pub struct ServerObs {
     pub(crate) cache_fill_races: Arc<Counter>,
     /// Fills rejected by the admission policy (victim was hotter).
     pub(crate) cache_admission_rejects: Arc<Counter>,
-    /// Entries updated/removed by round publication or round-log checks.
+    /// Cached entries updated or removed by round publication.
     pub cache_invalidations: Arc<Counter>,
     /// Entries displaced by the byte cap.
     pub(crate) cache_evictions: Arc<Counter>,
     /// Coherence-invariant violations (must stay 0; tests assert on it).
     pub cache_tripwire: Arc<Counter>,
-    /// Current cached bytes across every replica slab.
+    /// Current cached bytes in the slab.
     pub cache_bytes: Arc<Gauge>,
 
     // Replication (see `crate::repl`).

@@ -373,6 +373,10 @@ fn apply(store: &dyn KvStore, op: &BatchOp, obs: &ServerObs) -> BatchReply {
     })
 }
 
+/// One write of a round: `(key, Some(value))` for a put, `(key, None)`
+/// for a delete.
+type Write<'a> = (&'a [u8], Option<&'a [u8]>);
+
 /// Apply one batch of submissions, then ack them all: the group commit.
 fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
     let _ctx = cachekv_pmem::fault_context("server::group_commit");
@@ -380,8 +384,8 @@ fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
     let obs = &inner.obs;
     // Publish the round's write-key bloom and move the shard's cache epoch
     // to "round in progress" BEFORE any write applies: a GET racing the
-    // apply window then refuses cached entries for these keys rather than
-    // risk serving a value the engine has already superseded.
+    // apply window then misses on cached entries for these keys rather
+    // than risk serving a value the engine has already superseded.
     let write_hashes: Vec<u64> = batch
         .iter()
         .flat_map(|sub| &sub.ops)
@@ -399,18 +403,21 @@ fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
         .iter()
         .map(|sub| sub.ops.iter().map(|op| apply(&*store, op, obs)).collect())
         .collect();
-    // The round's applied write-set (`None` value = delete), the one
-    // source both replication and cache publication read. Failed writes
-    // are left out: they never ship, and their cached entries fail
-    // round-log revalidation instead (conservative miss).
-    let applied: Vec<(&[u8], Option<&[u8]>)> = batch
+    // The round's write-set, each write with whether the engine applied
+    // it. Replication ships only the applied writes; the cache is handed
+    // every write, a failed one as a removal, since nothing tells what
+    // the engine holds for that key now (conservative miss).
+    let writes: Vec<(Write, bool)> = batch
         .iter()
         .zip(&results)
         .flat_map(|(sub, rs)| sub.ops.iter().zip(rs))
-        .filter_map(|(op, r)| match (op, r) {
-            (BatchOp::Put { key, value }, BatchReply::Ok) => Some((&key[..], Some(&value[..]))),
-            (BatchOp::Delete { key }, BatchReply::Ok) => Some((&key[..], None)),
-            _ => None,
+        .filter_map(|(op, r)| {
+            let applied = matches!(r, BatchReply::Ok);
+            match op {
+                BatchOp::Put { key, value } => Some(((&key[..], Some(&value[..])), applied)),
+                BatchOp::Delete { key } => Some(((&key[..], None), applied)),
+                BatchOp::Get { .. } => None,
+            }
         })
         .collect();
     // The round is applied: assign its sequence number and hand the
@@ -419,9 +426,10 @@ fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
     let seq = inner.round_seq.fetch_add(1, Ordering::AcqRel) + 1;
     inner.seq_gauge.set(seq as i64);
     if let Some(repl) = &inner.repl {
-        let writes = applied
+        let shipped = writes
             .iter()
-            .map(|&(key, value)| match value {
+            .filter(|w| w.1)
+            .map(|&((key, value), _)| match value {
                 Some(value) => ReplWrite::Put {
                     key: key.to_vec(),
                     value: value.to_vec(),
@@ -431,18 +439,22 @@ fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
             .collect();
         // Empty rounds ship too: the follower's gap check needs the seq
         // stream contiguous.
-        repl.enqueue_round(inner.index, seq, writes);
+        repl.enqueue_round(inner.index, seq, shipped);
     }
     drop(gate);
-    // Round publication: push the applied values into (or delete them
-    // from) every cache replica and return the epoch to quiescent. This
-    // must complete before any ack below — that is what makes an acked
-    // write unshadowable by a stale cached value.
+    // Round publication: push the applied values into (or remove them
+    // and the failed writes from) the cache and return the epoch to
+    // quiescent. This must complete before any ack below — that is what
+    // makes an acked write unshadowable by a stale cached value.
     if let Some(token) = round {
-        inner.cache.round_publish(token, &applied);
+        let published: Vec<Write> = writes
+            .iter()
+            .map(|&((key, value), applied)| (key, value.filter(|_| applied)))
+            .collect();
+        inner.cache.round_publish(token, &published);
     }
     // It borrows `batch`, which the acks below consume.
-    drop(applied);
+    drop(writes);
     // Quorum gate: in sync mode the ack additionally waits for the
     // follower to apply this round. A degraded return (link down) falls
     // back to local-only acks — counted, never silent.

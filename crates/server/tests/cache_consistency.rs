@@ -34,13 +34,16 @@ fn engine_shard() -> Arc<dyn KvStore> {
     Arc::new(CacheKv::create(hier, CacheKvConfig::test_small()))
 }
 
-fn start(shards: usize, cache: HotCacheConfig) -> (KvServer, Arc<LoopbackTransport>) {
-    let transport = LoopbackTransport::new();
-    let stores = (0..shards).map(|_| engine_shard()).collect();
-    let cfg = ServerConfig {
+fn config(cache: HotCacheConfig) -> ServerConfig {
+    ServerConfig {
         cache,
         ..ServerConfig::default()
-    };
+    }
+}
+
+fn start(shards: usize, cfg: ServerConfig) -> (KvServer, Arc<LoopbackTransport>) {
+    let transport = LoopbackTransport::new();
+    let stores = (0..shards).map(|_| engine_shard()).collect();
     (KvServer::start(stores, transport.clone(), cfg), transport)
 }
 
@@ -104,8 +107,8 @@ impl Lcg {
 
 /// Drive the interleaved PUT/DELETE/GET battery against one server
 /// configuration and check every read against the oracle.
-fn run_oracle(shards: usize, cache: HotCacheConfig, label: &str) {
-    let (server, transport) = start(shards, cache);
+fn run_oracle(shards: usize, cfg: ServerConfig, label: &str) {
+    let (server, transport) = start(shards, cfg);
     let oracles: Arc<Vec<KeyOracle>> = Arc::new((0..KEYS).map(|_| KeyOracle::new()).collect());
 
     let mut handles = Vec::new();
@@ -229,7 +232,11 @@ fn capacity_label(capacity: usize) -> &'static str {
 fn sweep_capacity(capacity: usize) {
     for shards in [1usize, 2, 4] {
         let label = format!("cache={} shards={shards}", capacity_label(capacity));
-        run_oracle(shards, HotCacheConfig::with_capacity(capacity), &label);
+        run_oracle(
+            shards,
+            config(HotCacheConfig::with_capacity(capacity)),
+            &label,
+        );
     }
 }
 
@@ -240,13 +247,24 @@ fn oracle_with_cache_disabled() {
 
 #[test]
 fn oracle_with_tiny_thrashing_cache() {
-    // A few entries per replica: constant eviction + admission pressure.
+    // About two dozen entries: constant eviction + admission pressure.
     sweep_capacity(4 << 10);
 }
 
 #[test]
 fn oracle_with_unbounded_cache() {
     sweep_capacity(64 << 20);
+}
+
+/// Four I/O threads probe and fill the one slab while the committers
+/// publish into it.
+#[test]
+fn oracle_with_four_io_threads() {
+    let cfg = ServerConfig {
+        io_threads: 4,
+        ..config(HotCacheConfig::with_capacity(64 << 20))
+    };
+    run_oracle(2, cfg, "cache=unbounded shards=2 io_threads=4");
 }
 
 /// Round-invalidation race: readers hammer one ultra-hot key while
@@ -258,7 +276,7 @@ fn hot_key_version_rotation_is_monotonic() {
     const HOT_WRITES: u64 = 600;
     const HOT_READERS: usize = 4;
 
-    let (server, transport) = start(2, HotCacheConfig::with_capacity(64 << 20));
+    let (server, transport) = start(2, config(HotCacheConfig::with_capacity(64 << 20)));
     let issued = Arc::new(AtomicU64::new(0));
     let acked = Arc::new(AtomicU64::new(0));
     let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -334,12 +352,12 @@ fn hot_key_version_rotation_is_monotonic() {
 }
 
 /// Deterministic hit accounting: on one quiescent connection, the second
-/// GET of a key is served by the calling thread's replica; with the cache
-/// off, hits must stay exactly zero.
+/// GET of a key is served by the slab; with the cache off, hits must stay
+/// exactly zero.
 #[test]
 fn hit_and_miss_accounting() {
     // Cache on: fill on first read, hit on second.
-    let (server, transport) = start(1, HotCacheConfig::with_capacity(64 << 20));
+    let (server, transport) = start(1, config(HotCacheConfig::with_capacity(64 << 20)));
     let client = KvClient::connect(transport.connect().expect("dial"));
     client.put(b"warm", b"value").expect("put");
     client.ping(true).expect("quiesce");
@@ -364,7 +382,7 @@ fn hit_and_miss_accounting() {
     server.shutdown();
 
     // Cache off at build time: zero hits, zero bytes, still correct.
-    let (server, transport) = start(1, HotCacheConfig::disabled());
+    let (server, transport) = start(1, config(HotCacheConfig::disabled()));
     let client = KvClient::connect(transport.connect().expect("dial"));
     client.put(b"cold", b"value").expect("put");
     for _ in 0..8 {

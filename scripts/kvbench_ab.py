@@ -3,6 +3,8 @@
 
     make kvbench-ab BASE=<rev> WORKLOAD=<name> PAIRS=10
     python3 scripts/kvbench_ab.py --base <rev> --workload <name> --pairs 10
+    python3 scripts/kvbench_ab.py --workload read_hot --pairs 10 \
+        --traced 3 --layers hotcache.hit_ratio,hotcache.invalidations
 
 The noise-floor rule of benchmark/README.md as one command:
 
@@ -17,11 +19,17 @@ The noise-floor rule of benchmark/README.md as one command:
 5. print, per end-to-end metric of BENCHMARK.json, each side's median and
    quartiles over the paired seeds, the change's win count, and whether
    the gain rule holds (wins >= 90 % of pairs and the medians differ by
-   more than the base's interquartile range).
+   more than the base's interquartile range);
+6. with --traced N, run N traced runs per side afterwards (--trace 1,
+   seeds 11..10+N, alternating as above) and print each --layers metric
+   (per-layer names of BENCHMARK.json) with its per-side values and
+   median: the per-layer evidence for a change, in the same command.
 
 Without --base it compares against HEAD when tracked files have
-uncommitted changes, else against HEAD~1. Needs git, cargo and python3;
-nothing under benchmark/ is modified.
+uncommitted changes, else against HEAD~1. --base-tree DIR uses an existing
+checkout of the base (a clone, say) instead of the worktree. --pairs 0
+skips the pairs. Needs git, cargo and python3; nothing under benchmark/ is
+modified.
 """
 
 import argparse
@@ -71,9 +79,9 @@ def build(tree, side):
     return os.path.join(target, "release", "kvbench")
 
 
-def run(binary, tree, workload, seed, seconds):
+def run(binary, tree, workload, seed, seconds, trace=False):
     cmd = [binary, "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds)]
+           "--seconds", str(seconds), "--trace", "1" if trace else "0"]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = [l for l in out.stdout.splitlines() if l.strip()]
     if not lines:
@@ -94,17 +102,34 @@ def quartiles(v):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", default="", help="git revision (see above)")
+    ap.add_argument("--base-tree", default="",
+                    help="existing checkout of the base (skips the worktree)")
     ap.add_argument("--workload", default="mixed_repl")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--traced", type=int, default=0,
+                    help="traced runs per side after the pairs")
+    ap.add_argument("--layers", default="",
+                    help="comma-separated per-layer metrics to print")
     a = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         contract = json.load(f)
     seconds = contract["run_seconds"]
     metrics = contract["end_to_end"]
+    layers = [l for l in a.layers.split(",") if l]
+    known = {m["name"] for m in contract["per_layer"]}
+    unknown = [l for l in layers if l not in known]
+    if unknown:
+        sys.exit(f"not a per-layer metric of BENCHMARK.json: {unknown}")
+    if a.traced and not layers:
+        sys.exit("--traced needs --layers")
 
-    rev = resolve_base(a.base)
-    base_tree = checkout_base(rev)
+    if a.base_tree:
+        base_tree = os.path.abspath(a.base_tree)
+        rev = git("rev-parse", "HEAD", cwd=base_tree)
+    else:
+        rev = resolve_base(a.base)
+        base_tree = checkout_base(rev)
     sides = {
         "base": (build(base_tree, "base"), base_tree),
         "change": (build(ROOT, "change"), ROOT),
@@ -112,9 +137,21 @@ def main():
     print(f"base {rev[:12]} vs working tree: {a.workload}, {a.pairs} pairs "
           f"+ seed {UNSEEN_SEED}, {seconds:g} s per run", file=sys.stderr)
 
+    bad = []
+    if a.pairs:
+        pairs(a, sides, rev, seconds, metrics, bad)
+    if a.traced:
+        traced(a, sides, rev, seconds, layers, bad)
+    if bad:
+        print("runs that were not correct or had failures:")
+        for line in bad:
+            print("  " + line)
+        sys.exit(1)
+
+
+def pairs(a, sides, rev, seconds, metrics, bad):
     runs = {"base": [], "change": []}
     unseen = {}
-    bad = []
     seeds = list(range(1, a.pairs + 1)) + [UNSEEN_SEED]
     for seed in seeds:
         order = ["base", "change"] if seed % 2 == 1 else ["change", "base"]
@@ -153,11 +190,39 @@ def main():
         print(f"{name:<16} {spread(bm, b1, b3):>30} {spread(cm, c1, c3):>30} "
               f"{ratio:>7.3f} {wins:>3}/{len(b):<2} {unseen_bc:>19}  "
               + ("holds" if holds else "-"))
-    if bad:
-        print("runs that were not correct or had failures:")
-        for line in bad:
-            print("  " + line)
-        sys.exit(1)
+
+
+def traced(a, sides, rev, seconds, layers, bad):
+    runs = {"base": [], "change": []}
+    seeds = list(range(11, 11 + a.traced))
+    for seed in seeds:
+        order = ["base", "change"] if seed % 2 == 1 else ["change", "base"]
+        for side in order:
+            binary, tree = sides[side]
+            values, correct, failed = run(binary, tree, a.workload, seed,
+                                          seconds, trace=True)
+            if not correct or failed:
+                bad.append(f"{side} traced seed {seed}: correct={correct} "
+                           f"failed={failed}")
+            runs[side].append(values)
+            shown = " ".join(f"{l}={values[l]:.4g}" for l in layers)
+            print(f"  traced seed {seed:>3} {side:<6} {shown}",
+                  file=sys.stderr)
+
+    print(f"{a.workload}: base {rev[:12]} vs working tree, {a.traced} "
+          f"traced runs per side (--trace 1, seeds {seeds[0]}-{seeds[-1]})")
+    rows = []
+    for l in layers:
+        cells = [l]
+        for side in ("base", "change"):
+            v = [r[l] for r in runs[side]]
+            shown = " ".join(f"{x:.4g}" for x in v)
+            cells.append(f"{shown} | {statistics.median(v):.4g}")
+        rows.append(cells)
+    head = ["layer", "base values | median", "change values | median"]
+    width = [max(len(r[i]) for r in rows + [head]) for i in range(3)]
+    for r in [head] + rows:
+        print(f"{r[0]:<{width[0]}}  {r[1]:>{width[1]}}  {r[2]:>{width[2]}}")
 
 
 if __name__ == "__main__":
