@@ -21,7 +21,8 @@
 //!
 //! * Each shard has a monotonic **round epoch**: even while the shard is
 //!   quiescent, odd while a commit round is applying. Only the shard's
-//!   committer thread advances it.
+//!   committer thread advances it, or a store swap while that thread is
+//!   held idle.
 //! * Before applying a round, the committer publishes the round's write-key
 //!   **bloom** into the shard's one seqlock round slot, then bumps the
 //!   epoch to odd. After applying, it updates (put) or removes (delete,
@@ -39,6 +40,9 @@
 //!   installs only if the epoch is even and unchanged at insert — a fill
 //!   that raced any round is discarded rather than risk caching a value
 //!   the round overwrote.
+//! * A store swap (a follower's bootstrap install) runs as a round that
+//!   may write every key (`HotCache::swap_round`): it purges the slab
+//!   before the epoch returns to even.
 //! * Probes, fills and publications read `enabled` under the slab lock,
 //!   where [`HotCache::set_enabled`] purges: a publication skipped while
 //!   the tier was off can then leave nothing behind for a re-enabled tier
@@ -287,8 +291,9 @@ fn bloom_bits(h: u64) -> (usize, usize) {
 
 #[derive(Default)]
 struct ShardClock {
-    /// Even = quiescent, odd = a commit round is applying. Written only by
-    /// the shard's committer thread.
+    /// Even = quiescent, odd = a commit round or a store swap is applying.
+    /// Written only by the shard's committer thread, or by
+    /// [`HotCache::swap_round`] while that thread is held idle.
     epoch: AtomicU64,
     /// The write-key bloom of the latest round to begin.
     round: RoundSlot,
@@ -733,6 +738,29 @@ impl HotCache {
         }
         self.shards[shard].epoch.store(next_even, Ordering::Release);
     }
+
+    /// Run `swap`, which replaces `shard`'s whole store behind the
+    /// committer (a follower's bootstrap install), as a round that may
+    /// write every key. The epoch goes odd with no bloom published, so the
+    /// stale round slot makes every entry of the shard miss while `swap`
+    /// runs, and racing fills fail the epoch gate. The slab is purged
+    /// before the epoch returns to even, so nothing read from the old
+    /// store survives, whether or not the tier is enabled. The caller
+    /// must keep the committer from beginning a round meanwhile.
+    pub(crate) fn swap_round<T>(&self, shard: usize, swap: impl FnOnce() -> T) -> T {
+        let clock = &self.shards[shard];
+        let even = clock.epoch.load(Ordering::Acquire);
+        debug_assert!(
+            even.is_multiple_of(2),
+            "store swap inside a round on shard {shard}"
+        );
+        clock.epoch.store(even + 1, Ordering::Release);
+        let out = swap();
+        let mut slab = self.slab.lock();
+        self.obs.cache_bytes.add(slab.purge());
+        clock.epoch.store(even + 2, Ordering::Release);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -812,6 +840,26 @@ mod tests {
         let tok = c.round_begin(0, &[key_hash(b"k")]).unwrap();
         c.round_publish(tok, &[(b"k".as_slice(), None)]);
         assert!(c.probe(0, b"k").is_err());
+    }
+
+    #[test]
+    fn store_swap_drops_entries_and_racing_fills() {
+        let c = cache(1 << 20);
+        let t = c.probe(0, b"a").unwrap_err();
+        c.fill(0, b"a", b"old", t);
+        // A GET that probed before the swap and reads the old store.
+        let racing = c.probe(0, b"b").unwrap_err();
+        c.swap_round(0, || {
+            assert!(c.probe(0, b"a").is_err(), "old entry served mid-swap");
+        });
+        c.fill(0, b"b", b"old", racing);
+        assert!(c.probe(0, b"a").is_err(), "old entry outlived the swap");
+        assert!(c.probe(0, b"b").is_err(), "racing fill outlived the swap");
+        assert_eq!(c.bytes(), 0);
+        // Fills from the new store install as usual.
+        let t = c.probe(0, b"a").unwrap_err();
+        c.fill(0, b"a", b"new", t);
+        assert_eq!(c.probe(0, b"a").unwrap(), b"new");
     }
 
     #[test]

@@ -424,6 +424,9 @@ fn snap_end(
             return Response::Err(format!("snapshot rebuild failed: {msg}"));
         }
     };
+    // A promotion may have re-enabled the hot cache since `guard` ran;
+    // `replace_store` purges it as part of the swap, so no entry or fill
+    // from the old store is served afterwards.
     let sh = &shared.shards[shard as usize];
     sh.wait_idle_and_quiesce();
     sh.replace_store(store);

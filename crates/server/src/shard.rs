@@ -248,11 +248,22 @@ impl Shard {
         self.inner.store.read().clone()
     }
 
-    /// Swap in a new store (follower bootstrap install). The caller must
-    /// first drain the queue ([`Shard::wait_idle_and_quiesce`]) so no
-    /// submission straddles the swap.
+    /// Swap in a new store (follower bootstrap install). Waits until no
+    /// submission is in flight and holds the queue lock across the swap,
+    /// so no round straddles it and the committer cannot begin one while
+    /// the hot cache runs the swap as a round that writes every key
+    /// ([`HotCache::swap_round`]).
     pub(crate) fn replace_store(&self, store: Arc<dyn KvStore>) {
-        *self.inner.store.write() = store;
+        let inner = &self.inner;
+        let mut q = inner.q.lock();
+        while q.in_flight > 0 {
+            inner.idle.wait(&mut q);
+        }
+        let old = inner.cache.swap_round(inner.index, || {
+            std::mem::replace(&mut *inner.store.write(), store)
+        });
+        drop(q);
+        drop(old);
     }
 
     /// The shard's committed round sequence number (rounds `1..=seq` are
@@ -373,10 +384,6 @@ fn apply(store: &dyn KvStore, op: &BatchOp, obs: &ServerObs) -> BatchReply {
     })
 }
 
-/// One write of a round: `(key, Some(value))` for a put, `(key, None)`
-/// for a delete.
-type Write<'a> = (&'a [u8], Option<&'a [u8]>);
-
 /// Apply one batch of submissions, then ack them all: the group commit.
 fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
     let _ctx = cachekv_pmem::fault_context("server::group_commit");
@@ -403,40 +410,42 @@ fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
         .iter()
         .map(|sub| sub.ops.iter().map(|op| apply(&*store, op, obs)).collect())
         .collect();
-    // The round's write-set, each write with whether the engine applied
-    // it. Replication ships only the applied writes; the cache is handed
-    // every write, a failed one as a removal, since nothing tells what
-    // the engine holds for that key now (conservative miss).
-    let writes: Vec<(Write, bool)> = batch
+    // The round's write-set for the cache, a failed write as a removal
+    // (`None`), since nothing tells what the engine holds for that key now
+    // (conservative miss); replication ships only the applied writes.
+    let mut writes: Vec<(&[u8], Option<&[u8]>)> = Vec::new();
+    let mut shipped = Vec::new();
+    let ops = batch
         .iter()
         .zip(&results)
-        .flat_map(|(sub, rs)| sub.ops.iter().zip(rs))
-        .filter_map(|(op, r)| {
-            let applied = matches!(r, BatchReply::Ok);
-            match op {
-                BatchOp::Put { key, value } => Some(((&key[..], Some(&value[..])), applied)),
-                BatchOp::Delete { key } => Some(((&key[..], None), applied)),
-                BatchOp::Get { .. } => None,
-            }
-        })
-        .collect();
+        .flat_map(|(sub, rs)| sub.ops.iter().zip(rs));
+    for (op, r) in ops {
+        let (key, value) = match op {
+            BatchOp::Put { key, value } => (&key[..], Some(&value[..])),
+            BatchOp::Delete { key } => (&key[..], None),
+            BatchOp::Get { .. } => continue,
+        };
+        if !matches!(r, BatchReply::Ok) {
+            writes.push((key, None));
+            continue;
+        }
+        writes.push((key, value));
+        if inner.repl.is_some() {
+            shipped.push(match value {
+                Some(value) => ReplWrite::Put {
+                    key: key.to_vec(),
+                    value: value.to_vec(),
+                },
+                None => ReplWrite::Delete { key: key.to_vec() },
+            });
+        }
+    }
     // The round is applied: assign its sequence number and hand the
     // write-set to the replicator (still under the gate, so a capture at
     // seq S provably contains every enqueued round <= S).
     let seq = inner.round_seq.fetch_add(1, Ordering::AcqRel) + 1;
     inner.seq_gauge.set(seq as i64);
     if let Some(repl) = &inner.repl {
-        let shipped = writes
-            .iter()
-            .filter(|w| w.1)
-            .map(|&((key, value), _)| match value {
-                Some(value) => ReplWrite::Put {
-                    key: key.to_vec(),
-                    value: value.to_vec(),
-                },
-                None => ReplWrite::Delete { key: key.to_vec() },
-            })
-            .collect();
         // Empty rounds ship too: the follower's gap check needs the seq
         // stream contiguous.
         repl.enqueue_round(inner.index, seq, shipped);
@@ -447,11 +456,7 @@ fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
     // quiescent. This must complete before any ack below — that is what
     // makes an acked write unshadowable by a stale cached value.
     if let Some(token) = round {
-        let published: Vec<Write> = writes
-            .iter()
-            .map(|&((key, value), applied)| (key, value.filter(|_| applied)))
-            .collect();
-        inner.cache.round_publish(token, &published);
+        inner.cache.round_publish(token, &writes);
     }
     // It borrows `batch`, which the acks below consume.
     drop(writes);

@@ -18,7 +18,7 @@ use cachekv_server::{
     MAX_KV_BYTES,
 };
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const SHARDS: usize = 2;
@@ -550,6 +550,88 @@ fn image_the_factory_cannot_rebuild_fails_the_snapshot_not_the_io_thread() {
     assert_eq!(follower.obs().repl_tripwire.get(), 0);
     link.close();
     probe.close();
+    follower.shutdown();
+}
+
+#[test]
+fn snapshot_installed_after_promotion_leaves_no_stale_cache_entry() {
+    let transport = LoopbackTransport::new();
+    let (factory, _rebuilt) = recovery_factory();
+    // The factory signals that SNAP_END got past the follower guard, then
+    // waits for the test before rebuilding the store.
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel::<()>();
+    let gate = Mutex::new((entered_tx, release_rx));
+    let gated: StoreFactory = Box::new(move |shard, media| {
+        let g = gate.lock().unwrap();
+        g.0.send(()).unwrap();
+        g.1.recv().unwrap();
+        factory(shard, media)
+    });
+    let follower = KvServer::start_follower(
+        fresh_stores(SHARDS),
+        transport.clone(),
+        ServerConfig {
+            io_threads: 2,
+            cache: HotCacheConfig::default(),
+            ..server_cfg()
+        },
+        gated,
+    );
+    let (image, pairs) = captured_image(100);
+    let (k, v) = pairs
+        .iter()
+        .find(|(k, _)| cachekv_server::shard_for_key(k, SHARDS) == 0)
+        .unwrap();
+    // Connections go to I/O threads round-robin: the link and the admin
+    // connection are served by different threads.
+    let link = KvClient::connect(transport.connect().unwrap());
+    let admin = KvClient::connect(transport.connect().unwrap());
+    register_repl(&link);
+    expect_ok(
+        &link,
+        &Request::ReplRound {
+            shard: 0,
+            seq: 1,
+            frag: 0,
+            last: true,
+            writes: vec![ReplWrite::Put {
+                key: k.clone(),
+                value: b"old".to_vec(),
+            }],
+        },
+    );
+    let reqs = snap_stream_reqs(0, 9, &image);
+    let n = reqs.len();
+    for req in &reqs[..n - 1] {
+        expect_ok(&link, req);
+    }
+    let end = link.submit(&reqs[n - 1]).unwrap();
+    entered.recv().unwrap();
+
+    // Promotion while SNAP_END is rebuilding: the cache comes on and
+    // fills from the store about to be replaced.
+    admin.promote(7).expect("promote");
+    for _ in 0..3 {
+        assert_eq!(admin.get(k).unwrap().as_deref(), Some(&b"old"[..]));
+    }
+    assert!(
+        follower.obs().cache_hits.get() > 0,
+        "the old value was never cached"
+    );
+    release.send(()).unwrap();
+    match end.wait().unwrap() {
+        Response::Ok => {}
+        other => panic!("snapshot install failed: {other:?}"),
+    }
+    assert_eq!(
+        admin.get(k).unwrap().as_ref(),
+        Some(v),
+        "the cache served a value of the replaced store"
+    );
+    assert_eq!(follower.obs().cache_tripwire.get(), 0);
+    link.close();
+    admin.close();
     follower.shutdown();
 }
 

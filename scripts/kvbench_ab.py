@@ -26,10 +26,8 @@ The noise-floor rule of benchmark/README.md as one command:
    median: the per-layer evidence for a change, in the same command.
 
 Without --base it compares against HEAD when tracked files have
-uncommitted changes, else against HEAD~1. --base-tree DIR uses an existing
-checkout of the base (a clone, say) instead of the worktree. --pairs 0
-skips the pairs. Needs git, cargo and python3; nothing under benchmark/ is
-modified.
+uncommitted changes, else against HEAD~1. --pairs 0 skips the pairs.
+Needs git, cargo and python3; nothing under benchmark/ is modified.
 """
 
 import argparse
@@ -102,8 +100,6 @@ def quartiles(v):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", default="", help="git revision (see above)")
-    ap.add_argument("--base-tree", default="",
-                    help="existing checkout of the base (skips the worktree)")
     ap.add_argument("--workload", default="mixed_repl")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--traced", type=int, default=0,
@@ -124,12 +120,8 @@ def main():
     if a.traced and not layers:
         sys.exit("--traced needs --layers")
 
-    if a.base_tree:
-        base_tree = os.path.abspath(a.base_tree)
-        rev = git("rev-parse", "HEAD", cwd=base_tree)
-    else:
-        rev = resolve_base(a.base)
-        base_tree = checkout_base(rev)
+    rev = resolve_base(a.base)
+    base_tree = checkout_base(rev)
     sides = {
         "base": (build(base_tree, "base"), base_tree),
         "change": (build(ROOT, "change"), ROOT),
