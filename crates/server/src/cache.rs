@@ -1,5 +1,5 @@
-//! DRAM hot-key cache tier: a version-stamped, memory-capped cache
-//! consulted before the shard submission queue on GET.
+//! DRAM hot-key cache tier: a memory-capped cache consulted before the
+//! shard submission queue on GET.
 //!
 //! ```text
 //!   GET ──► slab ──hit──► reply (no queue, no engine)
@@ -7,81 +7,66 @@
 //!              ▼
 //!        shard.store().get() ──► epoch-gated fill ──► reply
 //!
-//!   committer round:  publish round bloom ─► epoch→odd ─► apply writes
-//!                     ─► update/remove cached entries ─► epoch→even ─► ack
+//!   committer round:  record write hashes + epoch→odd ─► apply writes
+//!                     ─► update/remove cached entries + epoch→even ─► ack
 //! ```
 //!
-//! # Coherence: round-epoch invalidation
+//! # Coherence: round-epoch invalidation under one lock
 //!
 //! Naive KV caching over an LSM breaks on invalidation: a GET can read the
 //! engine, lose the CPU, and insert a value that a concurrent write has
 //! already superseded — serving it after the write was acked. The cache
 //! therefore anchors *all* invalidation to the group-commit round, the
-//! server's existing durability point:
+//! server's existing durability point, and keeps all of its state — the
+//! entries, each shard's round epoch and in-flight write set, the admission
+//! sketch and the CLOCK bits — behind the slab's one mutex:
 //!
 //! * Each shard has a monotonic **round epoch**: even while the shard is
-//!   quiescent, odd while a commit round is applying. Only the shard's
-//!   committer thread advances it, or a store swap while that thread is
-//!   held idle.
-//! * Before applying a round, the committer publishes the round's write-key
-//!   **bloom** into the shard's one seqlock round slot, then bumps the
-//!   epoch to odd. After applying, it updates (put) or removes (delete,
-//!   failed write) the slab's entry for every written key — stamped with
-//!   the upcoming even epoch — then bumps the epoch to even, and only then
-//!   are acks released.
-//! * **Invariant:** every finished round has updated or removed, under the
-//!   slab lock, each entry it wrote, so a cached entry is exact unless the
-//!   round in flight writes its key. A probe therefore hits unless the
-//!   epoch is odd, the entry predates it, and the in-flight round's bloom
-//!   may hold the key (or its slot is torn). That case is a plain miss:
-//!   the entry stays, because the round's publication is about to update
-//!   it.
-//! * A fill captures the shard epoch *before* probing the engine and
-//!   installs only if the epoch is even and unchanged at insert — a fill
+//!   quiescent, odd while a commit round or a store swap is applying.
+//! * Before applying a round, the committer records the round's write-key
+//!   hashes and moves the epoch to odd, in one critical section. After
+//!   applying, it updates (put) or removes (delete, failed write) the
+//!   slab's entry for every written key and moves the epoch back to even,
+//!   again in one critical section; only then are acks released.
+//! * **Invariant:** every finished round has updated or removed each entry
+//!   it wrote, so a cached entry is exact unless the round in flight writes
+//!   its key. A probe therefore misses exactly when its shard's epoch is
+//!   odd and the key's hash is in the in-flight set. The entry stays: the
+//!   round's publication is about to update it.
+//! * A fill carries the shard epoch its probe saw *before* the engine read
+//!   and installs only if that epoch was even and is unchanged — a fill
 //!   that raced any round is discarded rather than risk caching a value
 //!   the round overwrote.
 //! * A store swap (a follower's bootstrap install) runs as a round that
-//!   may write every key (`HotCache::swap_round`): it purges the slab
-//!   before the epoch returns to even.
-//! * Probes, fills and publications read `enabled` under the slab lock,
-//!   where [`HotCache::set_enabled`] purges: a publication skipped while
-//!   the tier was off can then leave nothing behind for a re-enabled tier
-//!   to serve.
+//!   may write every key (`HotCache::swap_round`): the slab is purged as
+//!   the epoch goes odd.
 //!
 //! Consequences: after a write is acked, the slab holds (and can re-admit)
 //! no older value for that key, so read-your-writes through the server
-//! path holds; and because the in-flight round's bloom is visible *before*
-//! its writes apply, a reader can never observe a new value from the
-//! engine and subsequently an older value from the slab — per-key
-//! observations are monotonic even mid-round.
+//! path holds; and because the in-flight set is in place *before* its
+//! writes apply, a reader can never observe a new value from the engine
+//! and subsequently an older value from the slab — per-key observations
+//! are monotonic even mid-round.
 //!
-//! # One slab
-//!
-//! Every I/O thread probes and fills the one slab behind one mutex, which
-//! holds the whole byte cap; a round's publication locks it once.
+//! The tier is on exactly when `capacity_bytes > 0`, in either server role.
 //! Admission is a sampled frequency sketch (`FreqSketch`, TinyLFU-style)
 //! and eviction is CLOCK.
 
 use crate::obs::ServerObs;
-use parking_lot::{Mutex, MutexGuard};
+use crate::server::fnv1a;
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-/// Accounted bytes per entry beyond key + value (map slot, stamps, clock
-/// state — a deliberate overestimate so the cap is honest).
+/// Accounted bytes per entry beyond key + value (map slot, hash, clock
+/// bit — a deliberate overestimate so the cap is honest).
 const ENTRY_OVERHEAD: usize = 96;
 
-/// FNV-1a 64 over `key` — the hash used for the slab's entries, the
-/// admission sketch, and round blooms. (Same family as shard routing,
-/// different use: this one never feeds `% shards`.)
+/// FNV-1a 64 over `key` — the slab's map key, the admission sketch's hash
+/// and what the in-flight write sets hold. (Shard routing hashes from
+/// another offset basis and never feeds this `% shards`.)
 pub fn key_hash(key: &[u8]) -> u64 {
-    let mut h = 0x8422_2325_cbf2_9ce4u64;
-    for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a(0x8422_2325_cbf2_9ce4, key)
 }
 
 // ---------------------------------------------------------------------------
@@ -91,8 +76,7 @@ pub fn key_hash(key: &[u8]) -> u64 {
 /// Hot-cache configuration (part of [`crate::ServerConfig`]).
 #[derive(Debug, Clone)]
 pub struct HotCacheConfig {
-    /// The slab's byte cap. `0` disables the tier entirely (it cannot be
-    /// enabled at runtime).
+    /// The slab's byte cap. `0` builds the server without the tier.
     pub(crate) capacity_bytes: usize,
 }
 
@@ -118,14 +102,13 @@ impl HotCacheConfig {
 // Admission
 // ---------------------------------------------------------------------------
 
-/// Fill admission: a count-min sketch of 4-bit-equivalent saturating byte
-/// counters with periodic halving (TinyLFU's aging), shared lock-free
-/// across threads. `record` runs on every probe, `admit` on every fill
-/// that needs to evict.
-pub(crate) struct FreqSketch {
-    rows: Vec<AtomicU8>,
+/// Fill admission: a count-min sketch of saturating byte counters with
+/// periodic halving (TinyLFU's aging). `record` runs on every probe, the
+/// estimates on every fill that needs to evict.
+struct FreqSketch {
+    rows: Vec<u8>,
     mask: usize,
-    samples: AtomicU64,
+    samples: u64,
     window: u64,
 }
 
@@ -139,12 +122,12 @@ const SKETCH_HASHES: [u64; 4] = [
 impl FreqSketch {
     /// `slots` is rounded up to a power of two; the aging window is 16x
     /// the slot count, as in TinyLFU.
-    pub(crate) fn new(slots: usize) -> Self {
+    fn new(slots: usize) -> Self {
         let slots = slots.max(64).next_power_of_two();
         FreqSketch {
-            rows: (0..slots).map(|_| AtomicU8::new(0)).collect(),
+            rows: vec![0; slots],
             mask: slots - 1,
-            samples: AtomicU64::new(0),
+            samples: 0,
             window: 16 * slots as u64,
         }
     }
@@ -153,182 +136,27 @@ impl FreqSketch {
         (h.wrapping_mul(SKETCH_HASHES[row]) >> 32) as usize & self.mask
     }
 
-    /// Halve every counter (called once per aging window; racing
-    /// increments are lost, which only dampens the estimate).
-    fn age(&self) {
-        for c in &self.rows {
-            let v = c.load(Ordering::Relaxed);
-            c.store(v >> 1, Ordering::Relaxed);
-        }
-    }
-
-    /// Note one access to `h` (sampled frequency signal).
-    pub(crate) fn record(&self, h: u64) {
+    /// Note one access to `h`; once per aging window, halve every counter.
+    fn record(&mut self, h: u64) {
         for row in 0..SKETCH_HASHES.len() {
-            let c = &self.rows[self.idx(h, row)];
-            // Saturating increment without wrap under races.
-            let _ = c.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                (v < u8::MAX).then(|| v + 1)
-            });
+            let i = self.idx(h, row);
+            self.rows[i] = self.rows[i].saturating_add(1);
         }
-        if self.samples.fetch_add(1, Ordering::Relaxed) + 1 >= self.window
-            && self
-                .samples
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                    (s >= self.window).then_some(0)
-                })
-                .is_ok()
-        {
-            self.age();
+        self.samples += 1;
+        if self.samples >= self.window {
+            self.samples = 0;
+            for c in &mut self.rows {
+                *c >>= 1;
+            }
         }
     }
 
     /// Estimated access frequency of `h`.
-    pub(crate) fn estimate(&self, h: u64) -> u32 {
+    fn estimate(&self, h: u64) -> u32 {
         (0..SKETCH_HASHES.len())
-            .map(|row| self.rows[self.idx(h, row)].load(Ordering::Relaxed) as u32)
+            .map(|row| self.rows[self.idx(h, row)] as u32)
             .min()
             .unwrap_or(0)
-    }
-
-    /// Should a fill of `cand` displace `victim`? `victim` is `None` when
-    /// the slab still has free space (always admit); otherwise the
-    /// candidate must be estimated strictly more frequent.
-    pub(crate) fn admit(&self, cand: u64, victim: Option<u64>) -> bool {
-        match victim {
-            None => true,
-            Some(v) => self.estimate(cand) > self.estimate(v),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Eviction
-// ---------------------------------------------------------------------------
-
-/// CLOCK: one reference bit per slot, a sweeping hand granting each
-/// referenced entry a second chance. Called with the slab lock held;
-/// `slot` indices refer to the slab's entry ring.
-struct ClockEviction {
-    referenced: Vec<bool>,
-    hand: usize,
-}
-
-impl ClockEviction {
-    fn new() -> Self {
-        ClockEviction {
-            referenced: Vec::new(),
-            hand: 0,
-        }
-    }
-
-    fn ensure(&mut self, slot: usize) {
-        if slot >= self.referenced.len() {
-            self.referenced.resize(slot + 1, false);
-        }
-    }
-
-    /// A new entry landed in `slot`.
-    fn on_insert(&mut self, slot: usize) {
-        self.ensure(slot);
-        self.referenced[slot] = false;
-    }
-
-    /// The entry in `slot` was served (recency signal).
-    fn on_hit(&mut self, slot: usize) {
-        self.ensure(slot);
-        self.referenced[slot] = true;
-    }
-
-    /// The entry in `slot` was removed (invalidation or eviction).
-    fn on_remove(&mut self, slot: usize) {
-        self.ensure(slot);
-        self.referenced[slot] = false;
-    }
-
-    /// Pick a victim among occupied slots (`occupied[i]` ⇔ slot `i` holds
-    /// an entry). Returns `None` only if nothing is occupied.
-    fn victim(&mut self, occupied: &[bool]) -> Option<usize> {
-        if occupied.is_empty() {
-            return None;
-        }
-        self.ensure(occupied.len() - 1);
-        // Two full sweeps suffice: the first clears every reference bit in
-        // the worst case, the second must find an unreferenced entry.
-        for _ in 0..occupied.len() * 2 {
-            let i = self.hand;
-            self.hand = (self.hand + 1) % occupied.len();
-            if !occupied[i] {
-                continue;
-            }
-            if self.referenced[i] {
-                self.referenced[i] = false;
-            } else {
-                return Some(i);
-            }
-        }
-        occupied.iter().position(|&o| o)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Round clock (per shard): the epoch and the in-flight round's bloom
-// ---------------------------------------------------------------------------
-
-const BLOOM_WORDS: usize = 4; // 256-bit bloom, 2 bits per key
-
-#[derive(Default)]
-struct RoundSlot {
-    /// The round's odd epoch, or 0 while the slot is being (re)written.
-    seq: AtomicU64,
-    bloom: [AtomicU64; BLOOM_WORDS],
-}
-
-fn bloom_bits(h: u64) -> (usize, usize) {
-    let bits = BLOOM_WORDS * 64;
-    ((h as usize) % bits, ((h >> 21) as usize) % bits)
-}
-
-#[derive(Default)]
-struct ShardClock {
-    /// Even = quiescent, odd = a commit round or a store swap is applying.
-    /// Written only by the shard's committer thread, or by
-    /// [`HotCache::swap_round`] while that thread is held idle.
-    epoch: AtomicU64,
-    /// The write-key bloom of the latest round to begin.
-    round: RoundSlot,
-}
-
-impl ShardClock {
-    /// Publish round `odd`'s write-key bloom. Single writer (the
-    /// committer); SeqCst so readers' double-checked reads order globally.
-    fn publish(&self, odd: u64, hashes: &[u64]) {
-        let slot = &self.round;
-        slot.seq.store(0, Ordering::SeqCst);
-        let mut words = [0u64; BLOOM_WORDS];
-        for &h in hashes {
-            let (a, b) = bloom_bits(h);
-            words[a / 64] |= 1 << (a % 64);
-            words[b / 64] |= 1 << (b % 64);
-        }
-        for (w, v) in slot.bloom.iter().zip(words) {
-            w.store(v, Ordering::SeqCst);
-        }
-        slot.seq.store(odd, Ordering::SeqCst);
-    }
-
-    /// May round `odd` write a key hashing to `h`? `true` (conservative)
-    /// also when the slot is torn or already holds a later round.
-    fn in_flight_may_write(&self, odd: u64, h: u64) -> bool {
-        let slot = &self.round;
-        let (a, b) = bloom_bits(h);
-        if slot.seq.load(Ordering::SeqCst) != odd {
-            return true;
-        }
-        let wa = slot.bloom[a / 64].load(Ordering::SeqCst);
-        let wb = slot.bloom[b / 64].load(Ordering::SeqCst);
-        slot.seq.load(Ordering::SeqCst) != odd
-            || (wa >> (a % 64) & 1 == 1 && wb >> (b % 64) & 1 == 1)
     }
 }
 
@@ -340,8 +168,8 @@ struct Entry {
     key: Box<[u8]>,
     value: Box<[u8]>,
     hash: u64,
-    /// Epoch at which `value` was last known to equal the engine's.
-    stamp: u64,
+    /// CLOCK's reference bit: set by a hit, cleared by the sweeping hand.
+    referenced: bool,
 }
 
 impl Entry {
@@ -350,120 +178,137 @@ impl Entry {
     }
 }
 
+/// One shard's round state.
+#[derive(Default)]
+struct Round {
+    /// Even = quiescent, odd = a commit round or a store swap is applying.
+    epoch: u64,
+    /// The in-flight round's write-key hashes, sorted; meaningful while
+    /// `epoch` is odd. Reused across rounds.
+    writes: Vec<u64>,
+}
+
+/// The entries and every piece of coherence state, behind one mutex.
 struct Slab {
-    map: HashMap<Box<[u8]>, usize>,
+    /// `key_hash` → slot. Two keys under one hash share the map slot: the
+    /// later fill replaces the other key's entry.
+    map: HashMap<u64, usize>,
     slots: Vec<Option<Entry>>,
     free: Vec<usize>,
-    occupied: Vec<bool>,
+    /// CLOCK's sweeping hand over `slots`.
+    hand: usize,
     bytes: usize,
     cap: usize,
-    evict: ClockEviction,
+    rounds: Vec<Round>,
+    sketch: FreqSketch,
 }
 
 impl Slab {
-    fn new(cap: usize) -> Self {
+    fn new(cap: usize, num_shards: usize) -> Self {
         Slab {
             map: HashMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            occupied: Vec::new(),
+            hand: 0,
             bytes: 0,
             cap,
-            evict: ClockEviction::new(),
+            rounds: (0..num_shards).map(|_| Round::default()).collect(),
+            // Size the sketch to roughly the entry count the cap implies.
+            sketch: FreqSketch::new((cap / 256).clamp(1024, 1 << 20)),
         }
     }
 
-    fn slot_of(&self, key: &[u8]) -> Option<usize> {
-        self.map.get(key).copied()
+    fn entry(&self, slot: usize) -> &Entry {
+        self.slots[slot].as_ref().expect("mapped slot occupied")
     }
 
-    /// Remove the entry in `slot`, returning freed bytes. The slot goes
-    /// back on the free list so the slot ring stays O(capacity) under
-    /// eviction/invalidation churn instead of growing per fill.
-    fn remove_slot(&mut self, slot: usize) -> usize {
-        let Some(e) = self.slots[slot].take() else {
-            return 0;
-        };
-        self.map.remove(&e.key);
-        self.occupied[slot] = false;
-        self.free.push(slot);
-        self.evict.on_remove(slot);
-        self.bytes -= e.bytes();
-        e.bytes()
+    /// The slot holding `key` (hashing to `h`); another key under the same
+    /// hash is not a match.
+    fn slot_of(&self, h: u64, key: &[u8]) -> Option<usize> {
+        let slot = *self.map.get(&h)?;
+        (*self.entry(slot).key == *key).then_some(slot)
     }
 
-    /// Install `entry`, evicting under `admission` as needed. Returns
-    /// `(installed, delta_bytes, evictions)`; when admission rejects the
-    /// fill, `installed` is `false` but bytes already freed by earlier
-    /// eviction-loop iterations are still reported in `delta_bytes` /
-    /// `evictions` so the caller's gauges never drift from slab state.
-    fn install(&mut self, entry: Entry, admission: &FreqSketch) -> (bool, i64, u64) {
+    /// Remove the entry in `slot`. The slot goes back on the free list so
+    /// the slot ring stays O(capacity) under eviction/invalidation churn
+    /// instead of growing per fill.
+    fn remove_slot(&mut self, slot: usize) {
+        if let Some(e) = self.slots[slot].take() {
+            self.map.remove(&e.hash);
+            self.free.push(slot);
+            self.bytes -= e.bytes();
+        }
+    }
+
+    /// CLOCK: sweep from the hand, clearing reference bits, to the first
+    /// unreferenced entry. Two sweeps suffice: the first clears every bit
+    /// in the worst case. `None` only if the slab is empty.
+    fn victim(&mut self) -> Option<usize> {
+        for _ in 0..2 * self.slots.len() {
+            let i = self.hand;
+            self.hand = (i + 1) % self.slots.len();
+            if let Some(e) = &mut self.slots[i] {
+                if !std::mem::take(&mut e.referenced) {
+                    return Some(i);
+                }
+            }
+        }
+        None
+    }
+
+    /// Install `entry`, replacing another key under its hash and evicting
+    /// while over the cap — each victim only if the sketch rates `entry`
+    /// strictly more frequent. Returns `(installed, evictions)`; a declined
+    /// fill keeps the evictions already made.
+    fn install(&mut self, entry: Entry) -> (bool, u64) {
         let need = entry.bytes();
         if need > self.cap {
-            return (false, 0, 0);
+            return (false, 0);
         }
-        let mut delta = 0i64;
-        let mut evictions = 0u64;
-        // Overwrite in place if present.
-        if let Some(slot) = self.slot_of(&entry.key) {
-            let old = self.slots[slot].as_ref().expect("mapped slot occupied");
-            delta -= old.bytes() as i64;
-            delta += need as i64;
-            self.bytes = (self.bytes as i64 + delta) as usize;
-            self.slots[slot] = Some(entry);
-            self.evict.on_hit(slot);
-            // Over-cap after a larger value: fall through to trim below.
-            while self.bytes > self.cap {
-                let Some(v) = self.pick_victim(None) else {
-                    break;
-                };
-                delta -= self.remove_slot(v) as i64;
-                evictions += 1;
-            }
-            return (true, delta, evictions);
+        if let Some(&slot) = self.map.get(&entry.hash) {
+            self.remove_slot(slot);
         }
+        let mut evictions = 0;
         while self.bytes + need > self.cap {
-            let Some(v) = self.pick_victim(Some((admission, entry.hash))) else {
-                return (false, delta, evictions);
+            let Some(v) = self.victim() else {
+                return (false, evictions);
             };
-            delta -= self.remove_slot(v) as i64;
+            if self.sketch.estimate(entry.hash) <= self.sketch.estimate(self.entry(v).hash) {
+                return (false, evictions);
+            }
+            self.remove_slot(v);
             evictions += 1;
         }
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
-            self.occupied.push(false);
             self.slots.len() - 1
         });
-        self.map.insert(entry.key.clone(), slot);
-        self.occupied[slot] = true;
+        self.map.insert(entry.hash, slot);
         self.bytes += need;
         self.slots[slot] = Some(entry);
-        self.evict.on_insert(slot);
-        delta += need as i64;
-        (true, delta, evictions)
+        (true, evictions)
     }
 
-    /// Choose an eviction victim; with `gate = (admission, candidate)`
-    /// the candidate must beat the victim's estimated frequency.
-    fn pick_victim(&mut self, gate: Option<(&FreqSketch, u64)>) -> Option<usize> {
-        let v = self.evict.victim(&self.occupied)?;
-        if let Some((admission, cand)) = gate {
-            let victim_hash = self.slots[v].as_ref().map(|e| e.hash);
-            if !admission.admit(cand, victim_hash) {
-                return None;
-            }
+    /// Evict until the slab fits its cap (a published value may have
+    /// grown); returns the evictions.
+    fn trim(&mut self) -> u64 {
+        let mut evictions = 0;
+        while self.bytes > self.cap {
+            let Some(v) = self.victim() else {
+                break;
+            };
+            self.remove_slot(v);
+            evictions += 1;
         }
-        Some(v)
+        evictions
     }
 
-    fn purge(&mut self) -> i64 {
-        let freed = self.bytes as i64;
-        for slot in 0..self.slots.len() {
-            if self.occupied[slot] {
-                self.remove_slot(slot);
-            }
-        }
-        -freed
+    fn purge(&mut self) {
+        self.map.clear();
+        self.slots.clear();
+        self.free.clear();
+        self.hand = 0;
+        self.bytes = 0;
     }
 }
 
@@ -473,107 +318,41 @@ impl Slab {
 
 /// Token returned by a missed probe; carries the shard epoch captured
 /// *before* the engine read so the fill can detect racing commit rounds.
+/// An odd epoch never fills.
 #[derive(Debug, Clone, Copy)]
 pub struct FillToken {
     epoch: u64,
-    usable: bool,
 }
 
-const UNUSABLE: FillToken = FillToken {
-    epoch: 0,
-    usable: false,
-};
+const UNUSABLE: FillToken = FillToken { epoch: 1 };
 
 /// Token handed to the committer between [`HotCache::round_begin`] and
 /// [`HotCache::round_publish`].
 #[must_use]
 pub struct RoundToken {
     shard: usize,
-    odd: u64,
 }
 
 /// The DRAM hot-key cache tier. One instance per [`crate::KvServer`],
 /// shared by every connection thread and shard committer.
 pub struct HotCache {
     slab: Mutex<Slab>,
-    shards: Vec<ShardClock>,
-    admission: FreqSketch,
-    /// Written only under the slab lock, so a reader that checks it under
-    /// that lock is ordered against the purge of [`HotCache::set_enabled`].
-    enabled: AtomicBool,
+    /// `capacity_bytes > 0`, fixed at build: a tier without capacity
+    /// answers every probe with an unusable miss and skips every round.
+    on: bool,
     obs: Arc<ServerObs>,
 }
 
-#[cfg(test)]
-type GapHook = Box<dyn FnMut()>;
-
-#[cfg(test)]
-thread_local! {
-    /// Runs on this thread between `fill`'s unlocked `enabled` check and
-    /// its slab lock, so a test can act inside that window.
-    static FILL_GAP: std::cell::RefCell<Option<GapHook>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-#[inline]
-fn fill_gap() {
-    #[cfg(test)]
-    FILL_GAP.with(|h| {
-        if let Some(f) = h.borrow_mut().as_mut() {
-            f()
-        }
-    });
-}
-
 impl HotCache {
-    /// Build the tier for `num_shards` shards. `capacity_bytes == 0`
-    /// pins the tier off.
+    /// Build the tier for `num_shards` shards; `capacity_bytes == 0`
+    /// builds it off.
     pub fn new(cfg: &HotCacheConfig, num_shards: usize, obs: Arc<ServerObs>) -> Arc<HotCache> {
-        let capacity = cfg.capacity_bytes;
+        let cap = cfg.capacity_bytes;
         Arc::new(HotCache {
-            slab: Mutex::new(Slab::new(capacity)),
-            shards: (0..num_shards).map(|_| ShardClock::default()).collect(),
-            // Size the sketch to roughly the entry count the cap implies.
-            admission: FreqSketch::new((capacity / 256).clamp(1024, 1 << 20)),
-            enabled: AtomicBool::new(capacity > 0),
+            slab: Mutex::new(Slab::new(cap, num_shards)),
+            on: cap > 0,
             obs,
         })
-    }
-
-    /// Whether the tier is currently serving probes and fills.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
-    }
-
-    /// Whether the tier was built with capacity at all.
-    pub fn has_capacity(&self) -> bool {
-        self.slab.lock().cap > 0
-    }
-
-    /// Turn the tier on or off at runtime. Disabling purges the slab
-    /// (re-enable starts cold). Returns the effective state: enabling a
-    /// zero-capacity tier stays off.
-    pub fn set_enabled(&self, on: bool) -> bool {
-        let mut slab = self.slab.lock();
-        if slab.cap == 0 {
-            return false;
-        }
-        self.enabled.store(on, Ordering::Release);
-        if !on {
-            self.obs.cache_bytes.add(slab.purge());
-        }
-        on
-    }
-
-    /// Cached bytes (tests / stats).
-    pub fn bytes(&self) -> usize {
-        self.slab.lock().bytes
-    }
-
-    /// The slab, locked, while the tier is enabled.
-    fn locked(&self) -> Option<MutexGuard<'_, Slab>> {
-        let slab = self.slab.lock();
-        self.is_enabled().then_some(slab)
     }
 
     // -- read path ---------------------------------------------------------
@@ -582,82 +361,60 @@ impl HotCache {
     /// miss carrying the [`FillToken`] that must be captured *before* the
     /// engine read backing the fill.
     pub fn probe(&self, shard: usize, key: &[u8]) -> Result<Vec<u8>, FillToken> {
-        if !self.is_enabled() {
+        if !self.on {
             return Err(UNUSABLE);
         }
-        let clock = &self.shards[shard];
-        let epoch = clock.epoch.load(Ordering::Acquire);
         let h = key_hash(key);
-        self.admission.record(h);
-        let token = FillToken {
-            epoch,
-            // Fills are only sound from a quiescent (even) epoch.
-            usable: epoch.is_multiple_of(2),
-        };
-        let Some(mut slab) = self.locked() else {
-            return Err(UNUSABLE);
-        };
-        let Some(slot) = slab.slot_of(key) else {
+        let mut slab = self.slab.lock();
+        slab.sketch.record(h);
+        let round = &slab.rounds[shard];
+        let token = FillToken { epoch: round.epoch };
+        // Every finished round updated or removed its keys' entries, so
+        // only the round in flight can have outdated this one.
+        let in_flight = !round.epoch.is_multiple_of(2) && round.writes.binary_search(&h).is_ok();
+        let Some(slot) = slab.slot_of(h, key).filter(|_| !in_flight) else {
             self.obs.cache_misses.inc();
             return Err(token);
         };
-        let entry = slab.slots[slot].as_ref().expect("mapped slot occupied");
-        // Every finished round updated or removed this entry under the
-        // slab lock, so only the round in flight can have outdated it. A
-        // stamp at or past `epoch` is that round's own publication.
-        if entry.stamp < epoch && !epoch.is_multiple_of(2) && clock.in_flight_may_write(epoch, h) {
-            // Keep the entry: the round's publication is about to update it.
-            self.obs.cache_misses.inc();
-            return Err(token);
-        }
+        let entry = slab.slots[slot].as_mut().expect("mapped slot occupied");
+        entry.referenced = true;
         let v = entry.value.to_vec();
-        slab.evict.on_hit(slot);
         self.obs.cache_hits.inc();
         Ok(v)
     }
 
     /// Install `key = value` read from the engine under `token`. The fill
-    /// is discarded if any commit round began on the shard since the token
-    /// was captured, if the tier was disabled meanwhile, or if admission
-    /// prefers the incumbent victim.
+    /// is discarded if the token's epoch was odd, if any round began on
+    /// the shard since, or if admission prefers every victim.
     pub fn fill(&self, shard: usize, key: &[u8], value: &[u8], token: FillToken) {
-        if !token.usable || !self.is_enabled() {
+        if !token.epoch.is_multiple_of(2) {
             return;
         }
-        fill_gap();
-        // A disable that slipped in after the check above has purged the
-        // slab, and publications skip a disabled tier: installing now would
-        // leave an entry no later round updates.
-        let Some(mut slab) = self.locked() else {
-            return;
-        };
-        // Epoch-gate under the slab lock: round publication takes this
-        // lock too, so a round that slips in after this check will still
-        // observe (and supersede) the entry we install.
-        if self.shards[shard].epoch.load(Ordering::Acquire) != token.epoch {
+        let hash = key_hash(key);
+        let mut slab = self.slab.lock();
+        // Rounds move the epoch under this lock, so an unchanged epoch
+        // means no round wrote the shard since the probe.
+        if slab.rounds[shard].epoch != token.epoch {
             self.obs.cache_fill_races.inc();
             return;
         }
-        if let Some(slot) = slab.slot_of(key) {
-            let existing = slab.slots[slot].as_ref().expect("mapped slot occupied");
-            if existing.stamp > token.epoch {
-                // A round published a fresher value while we read the
-                // engine; with the epoch unchanged that cannot happen.
+        if let Some(slot) = slab.slot_of(hash, key) {
+            // Another GET filled the key meanwhile, from the same engine
+            // state: its bytes can only be these.
+            if *slab.entry(slot).value != *value {
                 self.obs.cache_tripwire.inc();
-                return;
             }
+            return;
         }
-        let entry = Entry {
+        let before = slab.bytes;
+        let (installed, evictions) = slab.install(Entry {
             key: key.into(),
             value: value.into(),
-            hash: key_hash(key),
-            stamp: token.epoch,
-        };
-        let (installed, delta, evictions) = slab.install(entry, &self.admission);
-        // Apply the accounting even when admission rejected the fill: the
-        // eviction loop may have freed entries before the gate declined,
-        // and those bytes must still leave the gauge.
-        self.obs.cache_bytes.add(delta);
+            hash,
+            referenced: false,
+        });
+        // Evictions made before a declined admission still leave the gauge.
+        self.obs.cache_bytes.add(slab.bytes as i64 - before as i64);
         self.obs.cache_evictions.add(evictions);
         if installed {
             self.obs.cache_fills.inc();
@@ -669,21 +426,26 @@ impl HotCache {
     // -- committer path ----------------------------------------------------
 
     /// Begin a group-commit round on `shard` that writes the keys hashing
-    /// to `write_hashes`: publish the round's bloom and move the shard
-    /// epoch to odd. Call *before* applying the round's writes; returns
-    /// `None` (and leaves the epoch untouched) for write-free rounds.
-    /// Only the shard's committer thread may call this.
+    /// to `write_hashes`: record them as the in-flight set and move the
+    /// shard epoch to odd. Call *before* applying the round's writes;
+    /// returns `None` (and leaves the epoch untouched) for write-free
+    /// rounds and on a tier without capacity. Only the shard's committer
+    /// thread may call this.
     pub fn round_begin(&self, shard: usize, write_hashes: &[u64]) -> Option<RoundToken> {
-        if write_hashes.is_empty() {
+        if !self.on || write_hashes.is_empty() {
             return None;
         }
-        let clock = &self.shards[shard];
-        let even = clock.epoch.load(Ordering::Acquire);
-        debug_assert!(even.is_multiple_of(2), "nested round on shard {shard}");
-        let odd = even + 1;
-        clock.publish(odd, write_hashes);
-        clock.epoch.store(odd, Ordering::Release);
-        Some(RoundToken { shard, odd })
+        let mut slab = self.slab.lock();
+        let round = &mut slab.rounds[shard];
+        debug_assert!(
+            round.epoch.is_multiple_of(2),
+            "nested round on shard {shard}"
+        );
+        round.epoch += 1;
+        round.writes.clear();
+        round.writes.extend_from_slice(write_hashes);
+        round.writes.sort_unstable();
+        Some(RoundToken { shard })
     }
 
     /// Publish a round's results: update or remove the slab's entry for
@@ -693,80 +455,62 @@ impl HotCache {
     /// be called *after* the round's writes are applied and *before* its
     /// acks are released.
     pub fn round_publish(&self, token: RoundToken, writes: &[(&[u8], Option<&[u8]>)]) {
-        let RoundToken { shard, odd } = token;
-        let next_even = odd + 1;
-        if let Some(mut slab) = self.locked() {
-            for &(key, val) in writes {
-                let Some(slot) = slab.slot_of(key) else {
-                    continue;
-                };
-                self.obs.cache_invalidations.inc();
-                match val {
-                    None => {
-                        let delta = -(slab.remove_slot(slot) as i64);
-                        self.obs.cache_bytes.add(delta);
-                    }
-                    Some(v) => {
-                        let entry = slab.slots[slot].as_mut().expect("mapped slot occupied");
-                        if entry.stamp > next_even {
-                            // Stamps only ever reach the epoch this
-                            // publication is about to install.
-                            self.obs.cache_tripwire.inc();
-                            continue;
-                        }
-                        let old = entry.bytes();
-                        entry.value = v.into();
-                        entry.stamp = next_even;
-                        let new = entry.bytes();
-                        slab.bytes = slab.bytes + new - old;
-                        self.obs.cache_bytes.add(new as i64 - old as i64);
-                    }
+        let mut slab = self.slab.lock();
+        let before = slab.bytes;
+        for &(key, val) in writes {
+            let Some(slot) = slab.slot_of(key_hash(key), key) else {
+                continue;
+            };
+            self.obs.cache_invalidations.inc();
+            match val {
+                None => slab.remove_slot(slot),
+                Some(v) => {
+                    let entry = slab.slots[slot].as_mut().expect("mapped slot occupied");
+                    let old = entry.value.len();
+                    entry.value = v.into();
+                    slab.bytes = slab.bytes + v.len() - old;
                 }
             }
-            // An updated value may have grown past the cap: trim.
-            let mut delta = 0i64;
-            while slab.bytes > slab.cap {
-                let Some(v) = slab.pick_victim(None) else {
-                    break;
-                };
-                delta -= slab.remove_slot(v) as i64;
-                self.obs.cache_evictions.inc();
-            }
-            if delta != 0 {
-                self.obs.cache_bytes.add(delta);
-            }
         }
-        self.shards[shard].epoch.store(next_even, Ordering::Release);
+        self.obs.cache_evictions.add(slab.trim());
+        self.obs.cache_bytes.add(slab.bytes as i64 - before as i64);
+        slab.rounds[token.shard].epoch += 1;
     }
 
     /// Run `swap`, which replaces `shard`'s whole store behind the
     /// committer (a follower's bootstrap install), as a round that may
-    /// write every key. The epoch goes odd with no bloom published, so the
-    /// stale round slot makes every entry of the shard miss while `swap`
-    /// runs, and racing fills fail the epoch gate. The slab is purged
-    /// before the epoch returns to even, so nothing read from the old
-    /// store survives, whether or not the tier is enabled. The caller
-    /// must keep the committer from beginning a round meanwhile.
+    /// write every key: the slab is purged as the epoch goes odd, so
+    /// nothing read from the old store survives, and fills racing `swap`
+    /// fail the epoch gate until it returns to even. The caller must keep
+    /// the committer from beginning a round meanwhile.
     pub(crate) fn swap_round<T>(&self, shard: usize, swap: impl FnOnce() -> T) -> T {
-        let clock = &self.shards[shard];
-        let even = clock.epoch.load(Ordering::Acquire);
-        debug_assert!(
-            even.is_multiple_of(2),
-            "store swap inside a round on shard {shard}"
-        );
-        clock.epoch.store(even + 1, Ordering::Release);
+        {
+            let mut slab = self.slab.lock();
+            self.obs.cache_bytes.add(-(slab.bytes as i64));
+            slab.purge();
+            let round = &mut slab.rounds[shard];
+            debug_assert!(
+                round.epoch.is_multiple_of(2),
+                "store swap inside a round on shard {shard}"
+            );
+            round.epoch += 1;
+            round.writes.clear();
+        }
         let out = swap();
-        let mut slab = self.slab.lock();
-        self.obs.cache_bytes.add(slab.purge());
-        clock.epoch.store(even + 2, Ordering::Release);
+        self.slab.lock().rounds[shard].epoch += 1;
         out
+    }
+
+    /// Cached bytes.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        self.slab.lock().bytes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
 
     fn cache(cap: usize) -> Arc<HotCache> {
         HotCache::new(&HotCacheConfig::with_capacity(cap), 1, ServerObs::new())
@@ -787,11 +531,32 @@ mod tests {
         c.round_publish(tok, &[(key, Some(val))]);
     }
 
+    fn cached(c: &HotCache, key: &[u8]) -> bool {
+        c.slab.lock().slot_of(key_hash(key), key).is_some()
+    }
+
     #[test]
     fn fill_then_hit() {
         let c = cache(1 << 20);
         let t = c.probe(0, b"k").unwrap_err();
         c.fill(0, b"k", b"v", t);
+        assert_eq!(c.probe(0, b"k").unwrap(), b"v");
+    }
+
+    #[test]
+    fn concurrent_fills_of_one_value_trip_nothing() {
+        let c = cache(1 << 20);
+        let first = c.probe(0, b"k").unwrap_err();
+        let second = c.probe(0, b"k").unwrap_err();
+        c.fill(0, b"k", b"v", first);
+        c.fill(0, b"k", b"v", second);
+        assert_eq!(c.obs.cache_tripwire.get(), 0);
+        assert_eq!(c.probe(0, b"k").unwrap(), b"v");
+        // Different bytes under an unchanged even epoch break the
+        // invariant: counted, and the entry is left alone.
+        let third = c.probe(0, b"j").unwrap_err();
+        c.fill(0, b"k", b"w", third);
+        assert_eq!(c.obs.cache_tripwire.get(), 1);
         assert_eq!(c.probe(0, b"k").unwrap(), b"v");
     }
 
@@ -822,10 +587,7 @@ mod tests {
             c.probe(0, b"a").is_err(),
             "in-flight write served its old value"
         );
-        assert!(
-            c.slab.lock().slot_of(b"a").is_some(),
-            "the miss dropped the entry"
-        );
+        assert!(cached(&c, b"a"), "the miss dropped the entry");
         assert_eq!(c.obs.cache_invalidations.get(), invalidations);
         assert_eq!(c.probe(0, b"b").unwrap(), b"2");
         c.round_publish(tok, &[(b"a".as_slice(), Some(b"9".as_slice()))]);
@@ -851,11 +613,16 @@ mod tests {
         let racing = c.probe(0, b"b").unwrap_err();
         c.swap_round(0, || {
             assert!(c.probe(0, b"a").is_err(), "old entry served mid-swap");
+            // A GET that probes mid-swap and reads the old store.
+            let mid = c.probe(0, b"c").unwrap_err();
+            c.fill(0, b"c", b"old", mid);
         });
         c.fill(0, b"b", b"old", racing);
         assert!(c.probe(0, b"a").is_err(), "old entry outlived the swap");
         assert!(c.probe(0, b"b").is_err(), "racing fill outlived the swap");
+        assert!(c.probe(0, b"c").is_err(), "mid-swap fill outlived the swap");
         assert_eq!(c.bytes(), 0);
+        assert_eq!(c.obs.cache_bytes.get(), 0);
         // Fills from the new store install as usual.
         let t = c.probe(0, b"a").unwrap_err();
         c.fill(0, b"a", b"new", t);
@@ -869,11 +636,10 @@ mod tests {
         // A round commits between the engine read and the fill.
         put_round(&c, b"k", b"new");
         c.fill(0, b"k", b"stale", t);
-        // The fill must not have shadowed the round's value. (The round
-        // updated no entry — the key wasn't cached — so this is a miss.)
-        if let Ok(v) = c.probe(0, b"k") {
-            assert_eq!(v, b"new");
-        }
+        assert_eq!(c.obs.cache_fill_races.get(), 1);
+        // The round updated no entry (the key wasn't cached) and the fill
+        // was dropped, so this is a miss.
+        assert!(c.probe(0, b"k").is_err());
     }
 
     #[test]
@@ -889,34 +655,23 @@ mod tests {
     }
 
     #[test]
-    fn fill_across_a_disable_is_dropped() {
-        let c = cache(1 << 20);
-        let (in_gap, gap_entered) = mpsc::channel();
-        let (disabled, gap_may_close) = mpsc::channel::<()>();
-        let filler = {
-            let c = c.clone();
-            std::thread::spawn(move || {
-                FILL_GAP.with(|h| {
-                    *h.borrow_mut() = Some(Box::new(move || {
-                        in_gap.send(()).unwrap();
-                        gap_may_close.recv().unwrap();
-                    }))
-                });
-                let t = c.probe(0, b"k").unwrap_err();
-                c.fill(0, b"k", b"old", t);
-            })
+    fn hash_collision_replaces_the_other_key() {
+        let mut slab = Slab::new(1 << 20, 1);
+        let mk = |k: &[u8]| Entry {
+            key: k.into(),
+            value: b"v".as_slice().into(),
+            hash: 7,
+            referenced: false,
         };
-        gap_entered.recv().unwrap();
-        assert!(!c.set_enabled(false));
-        disabled.send(()).unwrap();
-        filler.join().unwrap();
-        // The disabled tier skips this round's publication.
-        put_round(&c, b"k", b"new");
-        assert!(c.set_enabled(true));
-        assert!(
-            c.probe(0, b"k").is_err(),
-            "a fill that landed after the purge outlived the write"
+        assert!(slab.install(mk(b"a")).0);
+        assert!(slab.install(mk(b"bb")).0);
+        assert_eq!(
+            slab.slot_of(7, b"a"),
+            None,
+            "a collision served the wrong key"
         );
+        assert!(slab.slot_of(7, b"bb").is_some());
+        assert_eq!(slab.bytes, 2 + 1 + ENTRY_OVERHEAD);
     }
 
     #[test]
@@ -935,24 +690,14 @@ mod tests {
     }
 
     #[test]
-    fn disable_purges_and_reenable_starts_cold() {
-        let c = cache(1 << 20);
-        let t = c.probe(0, b"k").unwrap_err();
-        c.fill(0, b"k", b"v", t);
-        assert!(c.bytes() > 0);
-        assert!(!c.set_enabled(false));
-        assert_eq!(c.bytes(), 0);
-        assert!(c.probe(0, b"k").is_err());
-        assert!(c.set_enabled(true));
-        assert!(c.probe(0, b"k").is_err());
-    }
-
-    #[test]
     fn zero_capacity_never_enables() {
         let c = cache(0);
-        assert!(!c.has_capacity());
-        assert!(!c.set_enabled(true));
+        let t = c.probe(0, b"k").unwrap_err();
+        c.fill(0, b"k", b"v", t);
         assert!(c.probe(0, b"k").is_err());
+        assert!(c.round_begin(0, &[key_hash(b"k")]).is_none());
+        assert_eq!(c.bytes(), 0);
+        assert_eq!(c.obs.cache_hits.get(), 0);
     }
 
     #[test]
@@ -980,7 +725,6 @@ mod tests {
             "slot ring grew unboundedly: {} slots",
             slab.slots.len()
         );
-        assert_eq!(slab.slots.len(), slab.occupied.len());
         assert!(c.obs.cache_evictions.get() > 0, "churn never evicted");
         assert!(slab.bytes <= slab.cap);
         // The obs gauge must track actual slab bytes exactly.
@@ -1008,46 +752,44 @@ mod tests {
 
     #[test]
     fn declined_admission_evicts_nothing() {
-        let sketch = FreqSketch::new(256);
-        let mut slab = Slab::new(3 * (ENTRY_OVERHEAD + 2));
+        let mut slab = Slab::new(3 * (ENTRY_OVERHEAD + 2), 1);
         let mk = |k: &[u8]| Entry {
             key: k.into(),
             value: b"v".as_slice().into(),
             hash: key_hash(k),
-            stamp: 0,
+            referenced: false,
         };
         for k in [b"a".as_slice(), b"b", b"c"] {
             for _ in 0..10 {
-                sketch.record(key_hash(k));
+                slab.sketch.record(key_hash(k));
             }
-            assert!(slab.install(mk(k), &sketch).0);
+            assert!(slab.install(mk(k)).0);
         }
         // Cold candidate declined: the gate fires before any entry is
         // evicted, so the slab is untouched and reports no eviction.
-        let (installed, delta, evictions) = slab.install(mk(b"x"), &sketch);
-        assert!(!installed);
-        assert_eq!((delta, evictions), (0, 0));
+        let bytes = slab.bytes;
+        assert_eq!(slab.install(mk(b"x")), (false, 0));
+        assert_eq!(slab.bytes, bytes);
         for k in [b"a".as_slice(), b"b", b"c"] {
-            assert!(slab.slot_of(k).is_some(), "declined fill evicted an entry");
+            assert!(
+                slab.slot_of(key_hash(k), k).is_some(),
+                "declined fill evicted an entry"
+            );
         }
         // A hot candidate then does evict exactly one entry.
         for _ in 0..20 {
-            sketch.record(key_hash(b"y"));
+            slab.sketch.record(key_hash(b"y"));
         }
-        let (installed, _, evictions) = slab.install(mk(b"y"), &sketch);
-        assert!(installed);
-        assert_eq!(evictions, 1);
+        assert_eq!(slab.install(mk(b"y")), (true, 1));
     }
 
     #[test]
     fn sketch_prefers_frequent_keys() {
-        let s = FreqSketch::new(256);
+        let mut s = FreqSketch::new(256);
         for _ in 0..8 {
             s.record(key_hash(b"hot"));
         }
         s.record(key_hash(b"cold"));
         assert!(s.estimate(key_hash(b"hot")) > s.estimate(key_hash(b"cold")));
-        assert!(s.admit(key_hash(b"hot"), Some(key_hash(b"cold"))));
-        assert!(!s.admit(key_hash(b"cold"), Some(key_hash(b"hot"))));
     }
 }

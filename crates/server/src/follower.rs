@@ -86,6 +86,10 @@ pub(crate) struct FollowerCtl {
     /// Connection id of the one registered replication link
     /// (HELLO repl), or [`REPL_CONN_NONE`] / [`REPL_CONN_FENCED`].
     repl_conn: AtomicU64,
+    /// Held by a bootstrap install across its re-check of [`guard`] and
+    /// the store swap; `promote` takes it once the link is fenced, so an
+    /// install either finishes before the promotion drains or is refused.
+    install: Mutex<()>,
 }
 
 impl FollowerCtl {
@@ -106,6 +110,7 @@ impl FollowerCtl {
                 .collect(),
             factory,
             repl_conn: AtomicU64::new(REPL_CONN_NONE),
+            install: Mutex::new(()),
         }
     }
 
@@ -199,7 +204,7 @@ pub(crate) fn handle(
             Err(resp) => resp,
         },
         Request::SnapEnd { shard, total_len } => match guard(shared, ctx.conn_id, shard) {
-            Ok((ctl, fs)) => snap_end(shared, ctl, fs, shard, total_len),
+            Ok((ctl, fs)) => snap_end(shared, ctl, fs, ctx.conn_id, shard, total_len),
             Err(resp) => resp,
         },
         other => unreachable!("not a follower-role request: {other:?}"),
@@ -382,6 +387,7 @@ fn snap_end(
     shared: &ServerShared,
     ctl: &FollowerCtl,
     fs: &FollowerShard,
+    conn_id: u64,
     shard: u32,
     total_len: u64,
 ) -> Response {
@@ -424,9 +430,13 @@ fn snap_end(
             return Response::Err(format!("snapshot rebuild failed: {msg}"));
         }
     };
-    // A promotion may have re-enabled the hot cache since `guard` ran;
-    // `replace_store` purges it as part of the swap, so no entry or fill
-    // from the old store is served afterwards.
+    // A promotion may have fenced the link while the factory ran: the
+    // gate is re-run under the install lock `promote` also takes, so the
+    // old primary's image never replaces a promoted server's store.
+    let _install = ctl.install.lock();
+    if let Err(resp) = guard(shared, conn_id, shard) {
+        return resp;
+    }
     let sh = &shared.shards[shard as usize];
     sh.wait_idle_and_quiesce();
     sh.replace_store(store);
@@ -462,9 +472,11 @@ fn promote(shared: &ServerShared, epoch: u64, ctx: &ConnCtx) -> Response {
     }
     // Fence the old primary's replication link *before* draining: any
     // round or snapshot frame it still has in flight is refused rather
-    // than applied behind the new primary's back (split-brain guard).
+    // than applied behind the new primary's back (split-brain guard). An
+    // install already past its re-check finishes before the lock is ours.
     if let Some(ctl) = &shared.follower {
         ctl.repl_conn.store(REPL_CONN_FENCED, Ordering::Release);
+        drop(ctl.install.lock());
     }
     // Drain every queued replicated round so the promoted state includes
     // everything the dead primary shipped, then flip the role.
@@ -473,10 +485,6 @@ fn promote(shared: &ServerShared, epoch: u64, ctx: &ConnCtx) -> Response {
     }
     shared.is_follower.store(false, Ordering::Release);
     bump_epoch(shared, epoch);
-    // The cache stayed cold in follower role; a primary wants it hot.
-    if shared.cache.has_capacity() {
-        shared.cache.set_enabled(true);
-    }
     shared.obs.repl_failovers.inc();
     Response::Ok
 }

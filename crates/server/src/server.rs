@@ -85,15 +85,17 @@ pub const MAX_SCAN_PAGE: usize = 4096;
 /// frames (the page is cut early once the budget is crossed).
 pub(crate) const MAX_SCAN_BYTES: usize = 4 << 20;
 
+/// FNV-1a 64 over `key` from offset `basis`: shard routing and the hot
+/// cache's `key_hash` differ only in the basis.
+pub(crate) fn fnv1a(basis: u64, key: &[u8]) -> u64 {
+    key.iter()
+        .fold(basis, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
 /// Route `key` to one of `n` shards (stable FNV-1a 64 hash — must not
 /// change across restarts, or recovered shards would serve wrong keys).
 pub fn shard_for_key(key: &[u8], n: usize) -> usize {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % n.max(1) as u64) as usize
+    (fnv1a(0xcbf2_9ce4_8422_2325, key) % n.max(1) as u64) as usize
 }
 
 /// Server-wide admission budget: a cap on write submissions in flight and
@@ -263,8 +265,9 @@ impl KvServer {
     /// Start a *follower*: refuse writes, accept SNAP_*/REPL_ROUND frames
     /// from a primary, rebuild bootstrap images through `factory`, and
     /// serve reads (possibly stale until promoted). PROMOTE flips it into
-    /// a primary under a bumped routing epoch. The hot-key cache starts
-    /// cold (disabled) and is enabled at promotion.
+    /// a primary under a bumped routing epoch. The hot-key cache serves in
+    /// this role too: replicated rounds publish to it like client rounds,
+    /// and a bootstrap install purges it.
     pub fn start_follower(
         stores: Vec<Arc<dyn KvStore>>,
         transport: Arc<dyn Transport>,
@@ -275,7 +278,6 @@ impl KvServer {
         let ctl = FollowerCtl::new(stores.len(), factory, &obs);
         let server = Self::build(stores, transport, cfg, obs, None, Some(ctl));
         server.shared.is_follower.store(true, Ordering::Release);
-        server.shared.cache.set_enabled(false);
         server
     }
 
@@ -338,11 +340,6 @@ impl KvServer {
     /// The server's instruments (tests / benches).
     pub fn obs(&self) -> &Arc<ServerObs> {
         &self.shared.obs
-    }
-
-    /// The hot-key cache tier (runtime toggle, stats, tests).
-    pub fn cache(&self) -> &Arc<HotCache> {
-        &self.shared.cache
     }
 
     /// The primary-side replicator, if this server ships rounds.
@@ -714,4 +711,28 @@ fn not_primary(shared: &ServerShared) -> Response {
         "not primary (epoch {})",
         shared.epoch.load(Ordering::Acquire)
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::shard_for_key;
+    use crate::cache::key_hash;
+
+    /// Routing must never change across restarts (a recovered shard would
+    /// serve the wrong keys), and the cache's hash keys its slab: pin both.
+    #[test]
+    fn fnv_hashes_are_pinned() {
+        let golden: [(&[u8], u64, [usize; 6]); 4] = [
+            (b"", 0x8422_2325_cbf2_9ce4, [0, 1, 2, 1, 2, 5]),
+            (b"a", 0x789e_3e39_8d3f_f5ff, [0, 0, 1, 0, 5, 12]),
+            (b"user:42", 0x1ae1_6a43_cc14_e541, [0, 0, 2, 2, 0, 2]),
+            (b"hello world", 0x411a_03bb_58ab_d3c8, [0, 1, 1, 3, 2, 7]),
+        ];
+        for (key, hash, shards) in golden {
+            assert_eq!(key_hash(key), hash, "key_hash({key:?})");
+            for (n, shard) in [1, 2, 3, 4, 7, 16].into_iter().zip(shards) {
+                assert_eq!(shard_for_key(key, n), shard, "shard_for_key({key:?}, {n})");
+            }
+        }
+    }
 }

@@ -389,7 +389,7 @@ fn commit_round(inner: &Arc<ShardInner>, batch: Vec<Submission>) {
     let _ctx = cachekv_pmem::fault_context("server::group_commit");
     let store = inner.store.read().clone();
     let obs = &inner.obs;
-    // Publish the round's write-key bloom and move the shard's cache epoch
+    // Record the round's write-key hashes and move the shard's cache epoch
     // to "round in progress" BEFORE any write applies: a GET racing the
     // apply window then misses on cached entries for these keys rather
     // than risk serving a value the engine has already superseded.

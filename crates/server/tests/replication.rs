@@ -553,8 +553,11 @@ fn image_the_factory_cannot_rebuild_fails_the_snapshot_not_the_io_thread() {
     follower.shutdown();
 }
 
+/// A `SNAP_END` that passed the follower gate before `PROMOTE` must not
+/// install the old primary's image once its store factory returns: the
+/// promoted server has acked writes of its own since.
 #[test]
-fn snapshot_installed_after_promotion_leaves_no_stale_cache_entry() {
+fn snapshot_finishing_after_promotion_is_refused() {
     let transport = LoopbackTransport::new();
     let (factory, _rebuilt) = recovery_factory();
     // The factory signals that SNAP_END got past the follower guard, then
@@ -579,7 +582,7 @@ fn snapshot_installed_after_promotion_leaves_no_stale_cache_entry() {
         gated,
     );
     let (image, pairs) = captured_image(100);
-    let (k, v) = pairs
+    let (k, _) = pairs
         .iter()
         .find(|(k, _)| cachekv_server::shard_for_key(k, SHARDS) == 0)
         .unwrap();
@@ -609,29 +612,92 @@ fn snapshot_installed_after_promotion_leaves_no_stale_cache_entry() {
     let end = link.submit(&reqs[n - 1]).unwrap();
     entered.recv().unwrap();
 
-    // Promotion while SNAP_END is rebuilding: the cache comes on and
-    // fills from the store about to be replaced.
+    // Promotion while SNAP_END is rebuilding, then a write the promoted
+    // server acks (and a read that caches it).
     admin.promote(7).expect("promote");
-    for _ in 0..3 {
-        assert_eq!(admin.get(k).unwrap().as_deref(), Some(&b"old"[..]));
-    }
-    assert!(
-        follower.obs().cache_hits.get() > 0,
-        "the old value was never cached"
-    );
+    assert_eq!(admin.get(k).unwrap().as_deref(), Some(&b"old"[..]));
+    admin.put(k, b"new").expect("put on the promoted server");
+    assert_eq!(admin.get(k).unwrap().as_deref(), Some(&b"new"[..]));
     release.send(()).unwrap();
     match end.wait().unwrap() {
-        Response::Ok => {}
-        other => panic!("snapshot install failed: {other:?}"),
+        Response::Err(e) => assert!(e.contains("not follower"), "wrong refusal: {e}"),
+        other => panic!("snapshot installed over the promoted store: {other:?}"),
     }
-    assert_eq!(
-        admin.get(k).unwrap().as_ref(),
-        Some(v),
-        "the cache served a value of the replaced store"
-    );
+    for _ in 0..2 {
+        assert_eq!(
+            admin.get(k).unwrap().as_deref(),
+            Some(&b"new"[..]),
+            "a write acked after promotion was lost"
+        );
+    }
     assert_eq!(follower.obs().cache_tripwire.get(), 0);
     link.close();
     admin.close();
+    follower.shutdown();
+}
+
+/// The hot cache serves in follower role: GETs fill and hit, a
+/// replicated round updates the cached entry before it acks, and a
+/// bootstrap install drops every entry read from the old store.
+#[test]
+fn follower_reads_hit_a_cache_that_rounds_and_installs_keep_exact() {
+    let transport = LoopbackTransport::new();
+    let (factory, _rebuilt) = recovery_factory();
+    let follower = KvServer::start_follower(
+        fresh_stores(SHARDS),
+        transport.clone(),
+        ServerConfig {
+            cache: HotCacheConfig::default(),
+            ..server_cfg()
+        },
+        factory,
+    );
+    let link = KvClient::connect(transport.connect().unwrap());
+    register_repl(&link);
+    let reader = KvClient::connect(transport.connect().unwrap());
+    let k = key_routed_to(0, "fc");
+    let round = |seq: u64, value: &[u8]| Request::ReplRound {
+        shard: 0,
+        seq,
+        frag: 0,
+        last: true,
+        writes: vec![ReplWrite::Put {
+            key: k.clone(),
+            value: value.to_vec(),
+        }],
+    };
+    let obs = follower.obs();
+
+    expect_ok(&link, &round(1, b"v1"));
+    assert_eq!(reader.get(&k).unwrap().as_deref(), Some(&b"v1"[..]));
+    assert_eq!(obs.cache_fills.get(), 1, "the first GET must fill");
+    assert_eq!(reader.get(&k).unwrap().as_deref(), Some(&b"v1"[..]));
+    assert_eq!(obs.cache_hits.get(), 1, "the second GET must hit");
+
+    expect_ok(&link, &round(2, b"v2"));
+    assert_eq!(obs.cache_invalidations.get(), 1);
+    assert_eq!(reader.get(&k).unwrap().as_deref(), Some(&b"v2"[..]));
+    assert_eq!(obs.cache_hits.get(), 2, "the round's value must be cached");
+
+    // The image does not hold `k`: a GET that still finds it serves the
+    // replaced store.
+    let (image, pairs) = captured_image(100);
+    for req in snap_stream_reqs(0, 9, &image) {
+        expect_ok(&link, &req);
+    }
+    assert_eq!(obs.cache_bytes.get(), 0, "the install left entries behind");
+    assert_eq!(reader.get(&k).unwrap(), None, "served the replaced store");
+    let (ik, iv) = pairs
+        .iter()
+        .find(|(k, _)| cachekv_server::shard_for_key(k, SHARDS) == 0)
+        .unwrap();
+    for _ in 0..2 {
+        assert_eq!(reader.get(ik).unwrap().as_ref(), Some(iv));
+    }
+    assert_eq!(obs.cache_hits.get(), 3);
+    assert_eq!(obs.cache_tripwire.get(), 0);
+    link.close();
+    reader.close();
     follower.shutdown();
 }
 

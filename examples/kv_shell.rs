@@ -16,10 +16,10 @@
 //!                      (`-` = unbounded end; pages follow automatically)
 //! del <key>            delete (alias: delete)
 //! ping                 liveness probe; `ping sync` also drains + quiesces
-//! stats                server counters + hot-cache + per-shard device summaries
+//! stats                server counters, the hot-cache line (hits, fills, bytes,
+//!                      tripwire) and per-shard device summaries
 //! repl [status]        replication role, epoch, bootstrap bytes + phase times,
 //!                      per-shard round sequence + lag
-//! cache [on|off|status]   toggle / inspect the hot-key cache tier
 //! snap                 full stats document (server + shards) as JSON
 //! crash                power-fail every shard, recover, restart the server
 //! help                 this text
@@ -323,36 +323,6 @@ fn main() {
                 None | Some("status") => print_repl_status(&client),
                 Some(_) => println!("usage: repl [status]"),
             },
-            Some("cache") => {
-                // The shell owns the server in-process, so the toggle acts
-                // directly on the tier (there is no wire opcode for it).
-                let cache = server.cache();
-                match parts.next() {
-                    Some("on") => {
-                        if cache.set_enabled(true) {
-                            println!("hot cache enabled (starts cold)");
-                        } else {
-                            println!("hot cache was built with zero capacity; cannot enable");
-                        }
-                    }
-                    Some("off") => {
-                        cache.set_enabled(false);
-                        println!("hot cache disabled (slabs purged)");
-                    }
-                    None | Some("status") => println!(
-                        "hot cache: {}, {} bytes cached",
-                        if !cache.has_capacity() {
-                            "no capacity"
-                        } else if cache.is_enabled() {
-                            "enabled"
-                        } else {
-                            "disabled"
-                        },
-                        cache.bytes(),
-                    ),
-                    Some(_) => println!("usage: cache [on|off|status]"),
-                }
-            }
             Some("snap") => match client.stats() {
                 Ok(doc) => println!("{doc}"),
                 Err(e) => println!("error: {e}"),
@@ -396,7 +366,7 @@ fn main() {
             }
             Some("help") => {
                 println!(
-                    "put <k> <v> | get <k> | scan <lo> <hi|-> [n] | del <k> | ping [sync] | stats | repl [status] | cache [on|off|status] | snap | crash | quit"
+                    "put <k> <v> | get <k> | scan <lo> <hi|-> [n] | del <k> | ping [sync] | stats | repl [status] | snap | crash | quit"
                 )
             }
             Some("quit") | Some("exit") => break,

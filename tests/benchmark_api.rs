@@ -14,7 +14,7 @@ use cachekv::{CacheKv, CacheKvConfig};
 use cachekv_cache::{CacheConfig, Hierarchy};
 use cachekv_lsm::KvStore;
 use cachekv_pmem::{Clock, ClockMode, LatencyConfig, PmemConfig, PmemDevice, CACHELINE};
-use cachekv_server::cache::key_hash;
+use cachekv_server::cache::{key_hash, FillToken, RoundToken};
 use cachekv_server::protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
     MAX_FRAME,
@@ -29,6 +29,9 @@ use std::sync::Arc;
 type Stores = Vec<Arc<dyn KvStore>>;
 /// Per shard: `(enqueued, acked, backlog_bytes, live)`.
 type LinkStats = Vec<(u64, u64, u64, bool)>;
+type Probe = fn(&HotCache, usize, &[u8]) -> Result<Vec<u8>, FillToken>;
+/// A round's write-set: `(key, Some(value))` per put, `(key, None)` per delete.
+type RoundPublish = fn(&HotCache, RoundToken, &[(&[u8], Option<&[u8]>)]);
 
 #[test]
 fn the_items_kvbench_calls_keep_their_signatures() {
@@ -64,4 +67,8 @@ fn the_items_kvbench_calls_keep_their_signatures() {
     let obs: Arc<ServerObs> = ServerObs::new();
     let _ = obs.registry.export();
     let _: Arc<HotCache> = HotCache::new(&HotCacheConfig::default(), 2, obs);
+    let _: Probe = HotCache::probe;
+    let _: fn(&HotCache, usize, &[u8], &[u8], FillToken) = HotCache::fill;
+    let _: fn(&HotCache, usize, &[u64]) -> Option<RoundToken> = HotCache::round_begin;
+    let _: RoundPublish = HotCache::round_publish;
 }

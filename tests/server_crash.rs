@@ -229,7 +229,11 @@ fn crash_sweep(cache: HotCacheConfig, readers: bool) {
         // The recovered server's cache starts cold: nothing cached from
         // before the crash can exist, so every check below reads the
         // recovered engine (and re-fills the cache from it).
-        assert_eq!(server.cache().bytes(), 0, "recovered cache must start cold");
+        assert_eq!(
+            server.obs().cache_bytes.get(),
+            0,
+            "recovered cache must start cold"
+        );
         let client = KvClient::connect(transport.connect().unwrap());
 
         for (tid, &count) in committed.iter().enumerate() {
